@@ -1,9 +1,11 @@
 """Three-finger assembly and the quasi-static closing loop.
 
-The grasp plane holds one finger on the left and two (kinematically
-identical) fingers on the right; all three share one motor through the gear
-train, so the whole gripper advances in lockstep and the first finger that
-can absorb no more motion stalls the train.  Objects are rigid and fixed;
+The grasp plane holds one finger on the left and two kinematically identical
+fingers on the right, so the simulated state is a left/right pair and
+``SIDES`` maps each of the three physical fingers to its side.  All three
+share one motor through the gear train, so the whole gripper advances in
+lockstep and the first finger that can absorb no more motion stalls the
+train.  Objects are rigid and fixed;
 every motor step is routed through the transmission and then through each
 finger's compliant path, with contact events resolved by bisection so states
 land just touching (within the contact tolerance) and never penetrate.
@@ -27,6 +29,9 @@ from .transmission import LockStage, RackSegment, Route, TransmissionState
 
 _BISECT_ITERS = 60
 
+# side (0 left, 1 right) of each physical finger; the two right fingers share a state
+SIDES = (0, 1, 1)
+
 
 @dataclass(frozen=True)
 class Mount:
@@ -39,25 +44,29 @@ class Mount:
 
 @dataclass(frozen=True)
 class GripperAssembly:
-    """Three finger states, shared transmission, palm geometry."""
+    """Left and right finger states, shared transmission, palm geometry.
+
+    ``fingers`` and ``mounts()`` are indexed by side; ``world_segments`` and
+    ``tip`` take a physical finger index 0-2 and map it through ``SIDES``.
+    """
 
     config: GripperConfig
-    fingers: tuple[FingerState, FingerState, FingerState]
+    fingers: tuple[FingerState, FingerState]
     transmission: TransmissionState
 
-    def mounts(self) -> tuple[Mount, Mount, Mount]:
+    def mounts(self) -> tuple[Mount, Mount]:
         h = self.config.layout.half_width + self.transmission.base_translation / 2.0
-        return (Mount(-h, 1.0), Mount(h, -1.0), Mount(h, -1.0))
+        return (Mount(-h, 1.0), Mount(h, -1.0))
 
     def world_segments(self, i: int) -> dict[Phalanx, tuple[Point, Point]]:
-        mount = self.mounts()[i]
-        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[i])
+        mount = self.mounts()[SIDES[i]]
+        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[SIDES[i]])
         return {ph: (mount.to_world(a), mount.to_world(b))
                 for ph, (a, b) in pose.segments().items()}
 
     def tip(self, i: int) -> Point:
-        mount = self.mounts()[i]
-        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[i])
+        mount = self.mounts()[SIDES[i]]
+        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[SIDES[i]])
         return mount.to_world(pose.tip)
 
     def aperture(self) -> float:
@@ -71,7 +80,7 @@ def build_gripper(config: GripperConfig | None = None,
     params = cfg.finger_params()
     rest = fg.rest_pose(params)
     trans = tm.initial_transmission(cfg.transmission_params(), base_translation)
-    return GripperAssembly(config=cfg, fingers=(rest, rest, rest), transmission=trans)
+    return GripperAssembly(config=cfg, fingers=(rest, rest), transmission=trans)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +94,7 @@ def contact_detect(assembly: GripperAssembly,
         return []
     tol = assembly.config.contact_tol
     out: list[tuple[int, PhalanxContact]] = []
-    for i in range(3):
+    for i in range(len(SIDES)):
         for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
             a, b = assembly.world_segments(i)[ph]
             clear = obj.clearance_to_segment(a, b)
@@ -272,7 +281,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         return False
 
     if route is Route.BASE:
-        if direction < 0 and any(f.contact_fixed for f in asm.fingers[:2]):
+        if direction < 0 and any(f.contact_fixed for f in asm.fingers):
             # frozen contacts hold the fingers; the spring cannot pull the base past them
             run.stalled = True
             return False
@@ -294,7 +303,6 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
                 fingers[i] = _register_contacts(cfg, fingers[i], mounts[i], run.obj)
             else:
                 fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj)
-        fingers[2] = fingers[1]
         run.assembly = replace(asm2, fingers=tuple(fingers))
         _note_first_contact(run)
         if stop_on_engage and trans_new.lock.stage is LockStage.ENGAGED:
@@ -324,7 +332,6 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         elif direction < 0:
             jammed = True
         fingers[i] = nxt
-    fingers[2] = fingers[1]
 
     if direction < 0 and (jammed or not moved_any):
         run.stalled = jammed
@@ -343,7 +350,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     # Parallel closing bottoms out when the opposed tips meet; once a finger
     # wraps, the crosswise arrangement lets the fingers interleave instead.
     parallel_family = all(
-        f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers[:2])
+        f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers)
     if direction < 0 and parallel_family:
         gap_frac = _gap_fraction(cfg, asm, asm2)
         if gap_frac < 1.0:
@@ -352,7 +359,6 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
                 fingers[i] = _clamped_advance(cfg, asm.fingers[i], mounts[i], run.obj,
                                               joint_delta * gap_frac, surface)
                 fingers[i] = _register_contacts(cfg, fingers[i], mounts[i], run.obj)
-            fingers[2] = fingers[1]
             asm2 = replace(asm, fingers=tuple(fingers), transmission=trans_new)
             run.assembly = asm2
             _note_first_contact(run)
@@ -367,9 +373,9 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
 
 
 def _spring_load(cfg: GripperConfig, fingers: list[FingerState]) -> float:
-    """Summed spring force (N) the motor is currently holding across all fingers."""
+    """Summed spring force (N) the motor is currently holding across all three fingers."""
     params = cfg.finger_params()
-    return sum(sum(fg.spring_forces(params, f)) for f in fingers)
+    return sum(sum(fg.spring_forces(params, fingers[side])) for side in SIDES)
 
 
 def _force_budget(cfg: GripperConfig) -> float:
@@ -384,12 +390,12 @@ def _base_fraction(cfg: GripperConfig, asm: GripperAssembly,
         return 1.0
 
     def clear_at(t: float) -> float:
-        trans = replace(asm.transmission, base_translation=asm.transmission.base_translation + shift * t)
-        probe = replace(asm, transmission=trans)
-        mounts = probe.mounts()
+        lock = asm.transmission.lock
+        lock = replace(lock, travel=lock.travel + shift * t)
+        probe = replace(asm, transmission=replace(asm.transmission, lock=lock))
         c = float("inf")
-        for i in (0, 1):
-            c = min(c, _min_new_clearance(cfg, probe.fingers[i], mounts[i], obj))
+        for state, mount in zip(probe.fingers, probe.mounts()):
+            c = min(c, _min_new_clearance(cfg, state, mount, obj))
         return c
 
     if clear_at(1.0) >= 0.0:
@@ -555,14 +561,14 @@ def _per_finger_report(cfg: GripperConfig, state: FingerState) -> dict:
 
 def _trace_entry(run: _Run) -> dict:
     asm = run.assembly
-    f0, f1 = asm.fingers[0], asm.fingers[1]
+    left, right = asm.fingers
     return {
         "step": run.steps,
         "gap": max(0.0, asm.aperture()),
         "base": asm.transmission.base_translation,
         "segment": asm.transmission.rack.segment.value,
-        "left": _finger_trace(f0),
-        "right": _finger_trace(f1),
+        "left": _finger_trace(left),
+        "right": _finger_trace(right),
     }
 
 
@@ -579,8 +585,9 @@ def _finger_trace(f: FingerState) -> dict:
 def _build_report(cfg: GripperConfig, run: _Run, trace: list[dict],
                   degenerate: bool, events: list[str]) -> GraspReport:
     asm = run.assembly
-    left_touch = bool(asm.fingers[0].contact_fixed)
-    right_touch = bool(asm.fingers[1].contact_fixed)
+    left, right = asm.fingers
+    left_touch = bool(left.contact_fixed)
+    right_touch = bool(right.contact_fixed)
     success = left_touch and right_touch and not degenerate
     warnings: list[str] = [e for e in events if e.startswith("aborted")]
     mode: int | None = None
@@ -602,7 +609,7 @@ def _build_report(cfg: GripperConfig, run: _Run, trace: list[dict],
         success=success,
         aperture_first_contact=run.aperture_first_contact,
         aperture_final=max(0.0, asm.aperture()),
-        fingers=[_per_finger_report(cfg, f) for f in asm.fingers],
+        fingers=[_per_finger_report(cfg, asm.fingers[side]) for side in SIDES],
         base_translation=asm.transmission.base_translation,
         lock_stage=asm.transmission.lock.stage.value,
         rack_segment=asm.transmission.rack.segment.value,
@@ -649,7 +656,7 @@ def aperture_range(assembly: GripperAssembly, mode: int) -> tuple[float, float] 
         lo = cfg.aperture_at(lay.theta1_rest, 0.0)
         hi = cfg.aperture_at(lay.theta1_rest, cfg.base_shift_max)
         return (lo, hi)
-    locked = cfg.locked_shift
+    locked = cfg.slot_peak
     if mode == 4:
         return sweep_theta(lay.theta1_rest,
                            min(cfg.theta1_close_at(locked), cfg.theta1_max), locked)

@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import assembly as asm
@@ -127,13 +126,17 @@ def _cmd_run(args) -> int:
             svg = Path(args.svg) if len(files) == 1 else Path(args.svg) / scenario.name
         jobs.append((scenario, out, svg))
 
-    if len(jobs) == 1:
-        run_scenario(*jobs[0])
-        return 0
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        futures = [pool.submit(run_scenario, *job) for job in jobs]
-        for fut in futures:
-            fut.result()
+    # every scenario runs and writes its report; then the first failure in
+    # file order is raised
+    failure = None
+    for job in jobs:
+        try:
+            run_scenario(*job)
+        except Exception as exc:
+            if failure is None:
+                failure = exc
+    if failure is not None:
+        raise failure
     return 0
 
 

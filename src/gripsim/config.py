@@ -40,9 +40,7 @@ class GripperConfig:
     # drive
     theta1_travel: float = _deg(110.0)
     motor_step: float = _deg(0.5)
-    motor_max_rpm: float = 120.0
     motor_torque: float = 6.6          # N*m
-    torque_gain: float = 30.0          # worm 15:1 times 30/15 gear pair
     drive_gear_radius: float = 15.0    # output gear pitch radius (mm)
     finger_gear_radius: float = 7.5    # finger-base gear pitch radius (mm)
 
@@ -80,10 +78,6 @@ class GripperConfig:
     def remote_floor(self) -> float:
         return self.layout.envelope_floor + self.hollow_allowance
 
-    @property
-    def locked_shift(self) -> float:
-        return self.slot_peak
-
     def aperture_at(self, theta1: float, base_shift: float) -> float:
         """Parallel-mode fingertip gap for a drive angle and base shift."""
         h = self.layout.half_width + base_shift / 2.0
@@ -91,11 +85,7 @@ class GripperConfig:
 
     def motor_to_joint(self, motor_delta: float) -> float:
         """Motor rotation -> finger drive rotation (worm + gear pair + rack)."""
-        rack = motor_delta / self.torque_gain * self.drive_gear_radius
-        return rack / self.finger_gear_radius
-
-    def motor_to_rack(self, motor_delta: float) -> float:
-        return motor_delta / self.torque_gain * self.drive_gear_radius
+        return self.transmission_params().motor_to_joint(motor_delta)
 
     @property
     def slot(self) -> SlotGeometry:
@@ -133,11 +123,9 @@ class GripperConfig:
             theta1_max=self.theta1_max,
             finger_gear_radius=self.finger_gear_radius,
             drive_gear_radius=self.drive_gear_radius,
-            reduction=self.torque_gain,
+            reduction=float(GearTrain().reduction),
             base_shift_max=self.base_shift_max,
             slot=self.slot,
-            train=GearTrain(max_motor_rpm=self.motor_max_rpm,
-                            nominal_torque=self.motor_torque),
         )
 
     def scaled(self, k: float) -> "GripperConfig":

@@ -85,7 +85,6 @@ class FingerPose:
     o2: Point
     o3: Point
     tip: Point
-    om: Point
 
     def segments(self) -> dict[Phalanx, tuple[Point, Point]]:
         return {
@@ -113,7 +112,6 @@ class FingerState:
     behavior: Behavior = Behavior.PARALLEL
     contact_fixed: frozenset[Phalanx] = frozenset()
     alpha_anchor: float | None = None
-    limit_hit: bool = False
 
     def wrap(self) -> float:
         """World rotation of the middle+distal assembly away from vertical."""
@@ -136,7 +134,6 @@ def rest_pose(params: FingerParams) -> FingerState:
 
 
 def phalanx_poses(params: FingerParams, state: FingerState) -> FingerPose:
-    g = params.geometry
     psi = state.theta1 - params.theta1_down
     o1 = Point(0.0, 0.0)
     o2 = Point(state.L1 * math.sin(psi), -state.L1 * math.cos(psi))
@@ -145,8 +142,7 @@ def phalanx_poses(params: FingerParams, state: FingerState) -> FingerPose:
     o3 = o2 + d2.scaled(state.L2)
     w3 = w2 + state.theta3
     tip = o3 + Point(math.sin(w3), -math.cos(w3)).scaled(state.L3)
-    om = o2 + Point(-math.cos(w2), -math.sin(w2)).scaled(g.L1c)
-    return FingerPose(o1=o1, o2=o2, o3=o3, tip=tip, om=om)
+    return FingerPose(o1=o1, o2=o2, o3=o3, tip=tip)
 
 
 def coupler_angle_via_fourbar(params: FingerParams, state: FingerState) -> float:
@@ -170,14 +166,9 @@ def middle_axis_angle(state: FingerState) -> float:
 
 def advance_theta1(params: FingerParams, state: FingerState, delta: float) -> FingerState:
     """Sweep the drive angle with the parallel idealization (no contact routing)."""
-    theta1 = state.theta1 + delta
-    limit = False
-    if theta1 > params.theta1_max:
-        theta1, limit = params.theta1_max, True
-    elif theta1 < params.theta1_rest:
-        theta1, limit = params.theta1_rest, True
+    theta1 = min(max(state.theta1 + delta, params.theta1_rest), params.theta1_max)
     theta2 = params.theta2_rest - (theta1 - params.theta1_rest)
-    return replace(state, theta1=theta1, theta2=theta2, limit_hit=limit)
+    return replace(state, theta1=theta1, theta2=theta2)
 
 
 def parallel_step(params: FingerParams, state: FingerState, drive_delta: float) -> FingerState:
@@ -228,7 +219,10 @@ def apply_contact(params: FingerParams, state: FingerState,
 
 
 def envelope_step(params: FingerParams, state: FingerState, delta: float) -> FingerState:
-    """Compress the proximal bar by advancing the wrap at frozen theta1."""
+    """Compress the proximal bar by advancing the wrap at frozen theta1.
+
+    A jam returns ``state`` unchanged, which the stepping engine reads as jammed.
+    """
     if state.behavior is not Behavior.ENVELOPING_PROXIMAL or state.alpha_anchor is None:
         raise GripsimError("envelope_step requires an anchored enveloping state")
     g = params.geometry
@@ -238,20 +232,18 @@ def envelope_step(params: FingerParams, state: FingerState, delta: float) -> Fin
         roots = linkage.solve_proximal_alpha(g, state.theta1, alpha_new)
         L1_new = linkage.select_root(roots, state.L1)
     except GripsimError:
-        return replace(state, limit_hit=True)
+        return state
     if abs(L1_new - state.L1) > ROOT_JUMP_LIMIT or L1_new > state.L1 + 1e-9:
         # root branch folding; jam here rather than jump branches
-        return replace(state, limit_hit=True)
+        return state
     if L1_new < params.L1_min:
         stops = [a for a in linkage.alpha_candidates_for_length(g, state.theta1, params.L1_min)
                  if alpha_new - 1e-12 <= a <= alpha + 1e-12]
-        if stops:
-            alpha_new = max(stops)
-            L1_new = params.L1_min
-        else:
-            return replace(state, limit_hit=True)
-        return replace(state, theta2=g.beta - alpha_new, L1=L1_new, limit_hit=True)
-    return replace(state, theta2=g.beta - alpha_new, L1=L1_new, limit_hit=False)
+        if not stops:
+            return state
+        alpha_new = max(stops)
+        L1_new = params.L1_min
+    return replace(state, theta2=g.beta - alpha_new, L1=L1_new)
 
 
 def decouple_step(params: FingerParams, state: FingerState, delta: float) -> FingerState:
@@ -259,17 +251,14 @@ def decouple_step(params: FingerParams, state: FingerState, delta: float) -> Fin
     if state.behavior is not Behavior.ENVELOPING_DECOUPLED:
         raise GripsimError("decouple_step requires a decoupled state")
     g = params.geometry
-    theta3_new = state.theta3 + delta
-    limit = False
-    if theta3_new >= params.theta3_max:
-        theta3_new, limit = params.theta3_max, True
+    theta3_new = min(state.theta3 + delta, params.theta3_max)
     roots = linkage.solve_middle_retraction(g, theta3_new, g.beta)
     L2_new = linkage.select_root(roots, state.L2)
     if L2_new < params.L2_min - 1e-9:
-        theta3_new, limit = params.theta3_max, True
+        theta3_new = params.theta3_max
         roots = linkage.solve_middle_retraction(g, theta3_new, g.beta)
         L2_new = linkage.select_root(roots, state.L2)
-    return replace(state, theta3=theta3_new, L2=L2_new, limit_hit=limit)
+    return replace(state, theta3=theta3_new, L2=L2_new)
 
 
 def distal_retract(params: FingerParams, state: FingerState,

@@ -29,7 +29,6 @@ class GearTrain:
     small_gear_teeth: int = 15
     large_gear_teeth: int = 30
     max_motor_rpm: float = 120.0
-    nominal_torque: float = 6.6  # N*m
 
     @property
     def reduction(self) -> Fraction:
@@ -209,22 +208,19 @@ class TransmissionParams:
     def motor_to_joint(self, motor_delta: float) -> float:
         return motor_delta / self.reduction * self.drive_gear_radius / self.finger_gear_radius
 
-    def motor_to_rack(self, motor_delta: float) -> float:
-        return motor_delta / self.reduction * self.drive_gear_radius
-
 
 @dataclass(frozen=True)
 class TransmissionState:
     """Motor-side state; D1_angle doubles as the fingers' drive angle."""
 
-    motor_angle: float
     rack: RackState
     lock: LockState
-    base_translation: float
-    tension_spring_extension: float
     D1_angle: float
-    stalled: bool = False
-    stall_torque: float = 0.0
+
+    @property
+    def base_translation(self) -> float:
+        """Total base shift (mm); the lock block travels with the base."""
+        return self.lock.travel
 
 
 class Route(Enum):
@@ -246,11 +242,8 @@ def initial_transmission(params: TransmissionParams,
                      spring_compression=_compression(stage, t, params.slot))
     pos = _rack_position(params, params.theta1_rest, lock)
     return TransmissionState(
-        motor_angle=0.0,
         rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
         lock=lock,
-        base_translation=lock.travel,
-        tension_spring_extension=lock.travel,
         D1_angle=params.theta1_rest,
     )
 
@@ -278,7 +271,8 @@ def step_transmission(params: TransmissionParams, state: TransmissionState,
     if motor_delta == 0.0:
         return state, Route.STALL
     joint_delta = params.motor_to_joint(motor_delta)
-    shift_delta = 2.0 * params.motor_to_rack(motor_delta)  # both sides move together
+    # both sides move together, each by the rack travel
+    shift_delta = 2.0 * (motor_delta / params.reduction * params.drive_gear_radius)
 
     d1 = state.D1_angle
     lock = state.lock
@@ -286,56 +280,44 @@ def step_transmission(params: TransmissionParams, state: TransmissionState,
     if motor_delta > 0.0:
         if d1 > params.theta1_rest + 1e-15:
             d1_new = max(params.theta1_rest, d1 - joint_delta)
-            return _with_drive(params, state, motor_delta, d1_new), Route.DRIVE
+            return _with_drive(params, state, d1_new), Route.DRIVE
         if lock.travel < params.slot.end - 1e-15:
             lock_new = lock_step(lock, shift_delta, params.slot)
-            return _with_base(params, state, motor_delta, lock_new), Route.BASE
-        return _stalled(state), Route.STALL
+            return _with_base(params, state, lock_new), Route.BASE
+        return state, Route.STALL
 
     # closing
     if lock.stage is LockStage.ENGAGED:
         if d1 < params.theta1_max - 1e-15:
             d1_new = min(params.theta1_max, d1 - joint_delta)
-            return _with_drive(params, state, motor_delta, d1_new), Route.DRIVE
-        return _stalled(state), Route.STALL
+            return _with_drive(params, state, d1_new), Route.DRIVE
+        return state, Route.STALL
     if lock.travel > 1e-15:
         lock_new = lock_step(lock, shift_delta, params.slot)
         if lock_new.travel != lock.travel:
-            return _with_base(params, state, motor_delta, lock_new), Route.BASE
-        return _stalled(state), Route.STALL
+            return _with_base(params, state, lock_new), Route.BASE
+        return state, Route.STALL
     if d1 < params.theta1_max - 1e-15:
         d1_new = min(params.theta1_max, d1 - joint_delta)
-        return _with_drive(params, state, motor_delta, d1_new), Route.DRIVE
-    return _stalled(state), Route.STALL
+        return _with_drive(params, state, d1_new), Route.DRIVE
+    return state, Route.STALL
 
 
 def _with_drive(params: TransmissionParams, state: TransmissionState,
-                motor_delta: float, d1_new: float) -> TransmissionState:
+                d1_new: float) -> TransmissionState:
     pos = _rack_position(params, d1_new, state.lock)
     return replace(
         state,
-        motor_angle=state.motor_angle + motor_delta,
         D1_angle=d1_new,
         rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
-        stalled=False, stall_torque=0.0,
     )
 
 
 def _with_base(params: TransmissionParams, state: TransmissionState,
-               motor_delta: float, lock_new: LockState) -> TransmissionState:
+               lock_new: LockState) -> TransmissionState:
     pos = _rack_position(params, state.D1_angle, lock_new)
     return replace(
         state,
-        motor_angle=state.motor_angle + motor_delta,
         lock=lock_new,
-        base_translation=lock_new.travel,
-        tension_spring_extension=lock_new.travel,
         rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
-        stalled=False, stall_torque=0.0,
     )
-
-
-def _stalled(state: TransmissionState, params: TransmissionParams | None = None) -> TransmissionState:
-    train = params.train if params is not None else GearTrain()
-    stall = float(train.reduction) * train.nominal_torque
-    return replace(state, stalled=True, stall_torque=stall)

@@ -61,6 +61,17 @@ def test_multiple_files_run_as_parallel_jobs(tmp_path):
     assert pb["result"]["mode"] == 1
 
 
+def test_a_failing_file_still_lets_the_batch_finish(tmp_path, capsys):
+    a = _write(tmp_path, "a.scn", "[gripper]\nL1_min = 80\n" + GOOD)
+    b = _write(tmp_path, "b.scn", GOOD)
+    out = tmp_path / "reports"
+    rc = main(["run", str(a), str(b), "--out", str(out)])
+    assert rc == 2
+    assert "L1_min" in capsys.readouterr().err
+    assert (out / "b.report.json").exists()
+    assert not (out / "a.report.json").exists()
+
+
 def test_sweep_prints_all_five_ranges(capsys):
     assert main(["sweep"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

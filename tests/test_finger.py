@@ -68,7 +68,6 @@ def test_parallel_sweep_keeps_the_assembly_perpendicular(params, rest):
 def test_parallel_step_saturates_at_travel_limits(params, rest):
     state = fg.parallel_step(params, rest, math.radians(500.0))
     assert state.theta1 == params.theta1_max
-    assert state.limit_hit
 
 
 def test_proximal_contact_freezes_theta1_and_compresses_L1(params, rest):
@@ -84,6 +83,13 @@ def test_proximal_contact_freezes_theta1_and_compresses_L1(params, rest):
         assert state.L2 == 55.0
         prev = state.L1
     assert state.L1 < 70.0
+
+
+def test_jammed_envelope_step_returns_the_state_unchanged(params, rest):
+    """The stepping engine reads an unchanged finger as jammed."""
+    state = fg.parallel_step(params, rest, math.radians(30.0))
+    state = fg.apply_contact(params, state, _contact(Phalanx.PROXIMAL))
+    assert fg.envelope_step(params, state, math.radians(20.0)) == state
 
 
 def test_wrap_is_anchored_to_the_closure_manifold(cfg, params, rest):
@@ -120,7 +126,6 @@ def test_decoupled_wrap_clamps_at_the_end_stop(params, rest):
     state = fg.decouple_step(params, state, math.radians(720.0))
     assert state.theta3 == params.theta3_max
     assert state.L2 == pytest.approx(params.L2_min, abs=1e-6)
-    assert state.limit_hit
 
 
 def test_zero_penetration_contact_changes_no_pose_numbers(params, rest):

@@ -178,4 +178,3 @@ def test_base_translation_stays_inside_its_envelope(tparams):
     for delta in [1.0] * 200:
         state, _ = step_transmission(tparams, state, delta)
         assert 0.0 <= state.base_translation <= tparams.base_shift_max
-        assert state.tension_spring_extension == state.base_translation
