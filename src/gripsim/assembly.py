@@ -95,8 +95,9 @@ def contact_detect(assembly: GripperAssembly,
     tol = assembly.config.contact_tol
     out: list[tuple[int, PhalanxContact]] = []
     for i in range(len(SIDES)):
+        segments = assembly.world_segments(i)
         for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
-            a, b = assembly.world_segments(i)[ph]
+            a, b = segments[ph]
             clear = obj.clearance_to_segment(a, b)
             if clear <= tol:
                 out.append((i, PhalanxContact(phalanx=ph, point=_closest_point(obj, a, b),
@@ -207,11 +208,11 @@ def _register_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
     if obj is None:
         return state
     params = cfg.finger_params()
-    pose = fg.phalanx_poses(params, state)
+    segments = fg.phalanx_poses(params, state).segments()
     for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
         if ph in state.contact_fixed:
             continue
-        a, b = pose.segments()[ph]
+        a, b = segments[ph]
         clear = obj.clearance_to_segment(mount.to_world(a), mount.to_world(b))
         if clear <= cfg.contact_tol:
             contact = PhalanxContact(phalanx=ph, point=mount.to_world(a),
@@ -224,10 +225,10 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
                       obj: SceneObject | None) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    pose = fg.phalanx_poses(cfg.finger_params(), state)
+    segments = fg.phalanx_poses(cfg.finger_params(), state).segments()
     keep = set()
     for ph in state.contact_fixed:
-        a, b = pose.segments()[ph]
+        a, b = segments[ph]
         if obj.clearance_to_segment(mount.to_world(a), mount.to_world(b)) <= 5.0 * cfg.contact_tol:
             keep.add(ph)
     if keep == state.contact_fixed:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import calibrate, linkage
 from .calibrate import PalmLayout
@@ -93,18 +93,20 @@ class GripperConfig:
                             end=self.base_shift_max)
 
     def finger_params(self) -> FingerParams:
-        return _finger_params(self)
+        return self._finger_params
 
     def transmission_params(self) -> TransmissionParams:
-        return _transmission_params(self)
+        return self._transmission_params
 
-    def _build_finger_params(self) -> FingerParams:
+    # built once per instance; never stale, since the config is frozen and
+    # replace() makes a new one (equality and hashing see only the fields)
+    @cached_property
+    def _finger_params(self) -> FingerParams:
         return FingerParams(
             geometry=self.geometry,
             theta1_rest=self.layout.theta1_rest,
             theta1_down=self.layout.theta1_down,
             theta1_max=self.theta1_max,
-            theta1_fold=self.layout.theta1_fold,
             alpha_rest=self.alpha_rest,
             theta2_rest=self.theta2_rest,
             theta3_max=self.theta3_max,
@@ -117,14 +119,14 @@ class GripperConfig:
             contact_tol=self.contact_tol,
         )
 
-    def _build_transmission_params(self) -> TransmissionParams:
+    @cached_property
+    def _transmission_params(self) -> TransmissionParams:
         return TransmissionParams(
             theta1_rest=self.layout.theta1_rest,
             theta1_max=self.theta1_max,
             finger_gear_radius=self.finger_gear_radius,
             drive_gear_radius=self.drive_gear_radius,
             reduction=float(GearTrain().reduction),
-            base_shift_max=self.base_shift_max,
             slot=self.slot,
         )
 
@@ -150,16 +152,6 @@ class GripperConfig:
             slot_peak=self.slot_peak * k,
             hollow_allowance=self.hollow_allowance * k,
         )
-
-
-@lru_cache(maxsize=32)
-def _finger_params(cfg: "GripperConfig") -> FingerParams:
-    return cfg._build_finger_params()
-
-
-@lru_cache(maxsize=32)
-def _transmission_params(cfg: "GripperConfig") -> TransmissionParams:
-    return cfg._build_transmission_params()
 
 
 @lru_cache(maxsize=8)

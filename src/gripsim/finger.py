@@ -64,7 +64,6 @@ class FingerParams:
     theta1_rest: float
     theta1_down: float
     theta1_max: float
-    theta1_fold: float
     alpha_rest: float
     theta2_rest: float
     theta3_max: float

@@ -29,12 +29,6 @@ class Point:
     def scaled(self, k: float) -> "Point":
         return Point(self.x * k, self.y * k)
 
-    def dot(self, other: "Point") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> float:
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -87,40 +81,50 @@ def circle_horizontal_line_intersect(center: Point, radius: float, y: float) -> 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> tuple[float, float]:
     """Distance from p to segment ab and the parameter t of the closest point."""
-    ab = b - a
-    denom = ab.dot(ab)
-    if denom < _ABS_TOL:
-        return p.distance_to(a), 0.0
-    t = (p - a).dot(ab) / denom
-    t = min(1.0, max(0.0, t))
-    closest = a + ab.scaled(t)
-    return p.distance_to(closest), t
+    return _point_segment(p.x, p.y, a.x, a.y, b.x, b.y)
 
 
 def segment_segment_distance(a1: Point, a2: Point, b1: Point, b2: Point) -> float:
     """Minimum distance between two segments (0 if they intersect)."""
-    if _segments_intersect(a1, a2, b1, b2):
+    a1x, a1y, a2x, a2y = a1.x, a1.y, a2.x, a2.y
+    b1x, b1y, b2x, b2y = b1.x, b1.y, b2.x, b2.y
+    if _segments_intersect(a1x, a1y, a2x, a2y, b1x, b1y, b2x, b2y):
         return 0.0
     return min(
-        point_segment_distance(a1, b1, b2)[0],
-        point_segment_distance(a2, b1, b2)[0],
-        point_segment_distance(b1, a1, a2)[0],
-        point_segment_distance(b2, a1, a2)[0],
+        _point_segment(a1x, a1y, b1x, b1y, b2x, b2y)[0],
+        _point_segment(a2x, a2y, b1x, b1y, b2x, b2y)[0],
+        _point_segment(b1x, b1y, a1x, a1y, a2x, a2y)[0],
+        _point_segment(b2x, b2y, a1x, a1y, a2x, a2y)[0],
     )
 
 
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b - a).cross(c - a)
+# The float kernels below take coordinates so the hot clearance path makes
+# no Point objects.  Their arithmetic order is fixed: reports and frames are
+# compared byte for byte against goldens.
+
+def _point_segment(px: float, py: float, ax: float, ay: float,
+                   bx: float, by: float) -> tuple[float, float]:
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
+    if denom < _ABS_TOL:
+        return math.hypot(px - ax, py - ay), 0.0
+    t = ((px - ax) * abx + (py - ay) * aby) / denom
+    t = min(1.0, max(0.0, t))
+    return math.hypot(px - (ax + abx * t), py - (ay + aby * t)), t
 
 
-def _segments_intersect(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    d1 = _orient(b1, b2, a1)
-    d2 = _orient(b1, b2, a2)
-    d3 = _orient(a1, a2, b1)
-    d4 = _orient(a1, a2, b2)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        return True
-    return False
+def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _segments_intersect(a1x: float, a1y: float, a2x: float, a2y: float,
+                        b1x: float, b1y: float, b2x: float, b2y: float) -> bool:
+    d1 = _orient(b1x, b1y, b2x, b2y, a1x, a1y)
+    d2 = _orient(b1x, b1y, b2x, b2y, a2x, a2y)
+    d3 = _orient(a1x, a1y, a2x, a2y, b1x, b1y)
+    d4 = _orient(a1x, a1y, a2x, a2y, b2x, b2y)
+    return ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4))
 
 
 def rotate(p: Point, angle: float) -> Point:

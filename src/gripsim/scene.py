@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ConfigError
 from .geometry import Point, point_segment_distance, rotate, segment_segment_distance
@@ -61,7 +62,10 @@ class SceneObject:
                            x=x, y=surface_y + thickness / 2.0,
                            on_surface=True, surface_y=surface_y)
 
-    @property
+    # The cached properties below cannot go stale: the object is frozen and
+    # dataclasses.replace builds a new instance with an empty cache.  They
+    # live in the instance __dict__, so equality and hashing ignore them.
+    @cached_property
     def center(self) -> Point:
         return Point(self.x, self.y)
 
@@ -75,30 +79,38 @@ class SceneObject:
 
     def corners(self) -> list[Point]:
         """Rectangle/slab corner points in the world (counter-clockwise)."""
+        return list(self._corners)
+
+    @cached_property
+    def _corners(self) -> tuple[Point, ...]:
         if self.kind is ShapeKind.CIRCLE:
             raise ValueError("circles have no corners")
         w = self.width / 2.0
         h = (self.height if self.kind is ShapeKind.RECTANGLE else self.thickness) / 2.0
         pts = [Point(-w, -h), Point(w, -h), Point(w, h), Point(-w, h)]
-        return [self.center + rotate(p, self.rotation) for p in pts]
+        return tuple(self.center + rotate(p, self.rotation) for p in pts)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[Point, Point], ...]:
+        corners = self._corners
+        return tuple(zip(corners, corners[1:] + corners[:1]))
 
     def clearance_to_segment(self, a: Point, b: Point) -> float:
         """Distance from the object's boundary to a segment (negative inside)."""
         if self.kind is ShapeKind.CIRCLE:
             dist, _ = point_segment_distance(self.center, a, b)
             return dist - self.diameter / 2.0
-        corners = self.corners()
-        edges = list(zip(corners, corners[1:] + corners[:1]))
-        d = min(segment_segment_distance(a, b, e1, e2) for e1, e2 in edges)
+        d = min([segment_segment_distance(a, b, e1, e2) for e1, e2 in self._edges])
         if d == 0.0:
             return 0.0
         # segment fully inside the polygon counts as penetration
+        corners = self._corners
         if _point_in_polygon(a, corners) and _point_in_polygon(b, corners):
             return -d
         return d
 
 
-def _point_in_polygon(p: Point, corners: list[Point]) -> bool:
+def _point_in_polygon(p: Point, corners: tuple[Point, ...]) -> bool:
     inside = False
     n = len(corners)
     for i in range(n):

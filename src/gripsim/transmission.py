@@ -81,7 +81,6 @@ class SlotGeometry:
     entry: float = 48.5
     peak: float = 49.5    # red position; crossing it forward engages the lock
     end: float = 50.0     # lower-groove far end (base travel maximum)
-    ride_height: float = 2.0
 
 
 DEFAULT_SLOT = SlotGeometry()
@@ -90,17 +89,7 @@ DEFAULT_SLOT = SlotGeometry()
 @dataclass(frozen=True)
 class LockState:
     stage: LockStage = LockStage.NEUTRAL
-    spring_compression: float = 0.0
     travel: float = 0.0   # block position = base shift (mm)
-
-
-def _compression(stage: LockStage, travel: float, slot: SlotGeometry) -> float:
-    if stage is LockStage.UPPER_GROOVE:
-        frac = (travel - slot.entry) / max(slot.peak - slot.entry, 1e-9)
-        return slot.ride_height * min(1.0, max(0.0, frac))
-    if stage in (LockStage.ENGAGED, LockStage.LOWER_GROOVE, LockStage.RELEASED):
-        return slot.ride_height / 2.0
-    return 0.0
 
 
 def lock_step(lock: LockState, base_motion_delta: float,
@@ -134,8 +123,7 @@ def lock_step(lock: LockState, base_motion_delta: float,
             stage = LockStage.NEUTRAL if t_new <= slot.entry else LockStage.RELEASED
         else:  # NEUTRAL or UPPER_GROOVE sliding back down
             stage = LockStage.NEUTRAL if t_new <= slot.entry else LockStage.UPPER_GROOVE
-    return LockState(stage=stage, travel=t_new,
-                     spring_compression=_compression(stage, t_new, slot))
+    return LockState(stage=stage, travel=t_new)
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,6 @@ class TransmissionParams:
     finger_gear_radius: float
     drive_gear_radius: float
     reduction: float
-    base_shift_max: float
     slot: SlotGeometry
     train: GearTrain = GearTrain()
 
@@ -238,8 +225,7 @@ def initial_transmission(params: TransmissionParams,
         stage = LockStage.UPPER_GROOVE
     else:
         stage = LockStage.NEUTRAL
-    lock = LockState(stage=stage, travel=t,
-                     spring_compression=_compression(stage, t, params.slot))
+    lock = LockState(stage=stage, travel=t)
     pos = _rack_position(params, params.theta1_rest, lock)
     return TransmissionState(
         rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),

@@ -180,7 +180,6 @@ def test_criterion_5_self_lock_model_check():
         finger_gear_radius=7.5,
         drive_gear_radius=15.0,
         reduction=30.0,
-        base_shift_max=50.0,
         slot=SlotGeometry(entry=30.0, peak=40.0, end=50.0),
     )
     delta = 10.0  # one segment width of base shift per step

@@ -1,0 +1,194 @@
+"""The float clearance kernels against the Point-based code they replaced.
+
+The reference functions below are the earlier Point-object implementations
+of ``point_segment_distance``, ``segment_segment_distance`` and
+``SceneObject.clearance_to_segment`` (with ``Point.dot`` and ``Point.cross``
+as ``_dot`` and ``_cross``).  The rewrite keeps every arithmetic operation in
+the same order, so results must match bit for bit: floats are compared
+through ``float.hex``, which also tells -0.0 from 0.0.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
+from gripsim.scene import SceneObject, ShapeKind
+
+_ABS_TOL = 1e-12
+
+
+def _dot(u, v):
+    return u.x * v.x + u.y * v.y
+
+
+def _cross(u, v):
+    return u.x * v.y - u.y * v.x
+
+
+def ref_point_segment_distance(p, a, b):
+    ab = b - a
+    denom = _dot(ab, ab)
+    if denom < _ABS_TOL:
+        return p.distance_to(a), 0.0
+    t = _dot(p - a, ab) / denom
+    t = min(1.0, max(0.0, t))
+    closest = a + ab.scaled(t)
+    return p.distance_to(closest), t
+
+
+def _ref_orient(a, b, c):
+    return _cross(b - a, c - a)
+
+
+def _ref_segments_intersect(a1, a2, b1, b2):
+    d1 = _ref_orient(b1, b2, a1)
+    d2 = _ref_orient(b1, b2, a2)
+    d3 = _ref_orient(a1, a2, b1)
+    d4 = _ref_orient(a1, a2, b2)
+    return ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4))
+
+
+def ref_segment_segment_distance(a1, a2, b1, b2):
+    if _ref_segments_intersect(a1, a2, b1, b2):
+        return 0.0
+    return min(
+        ref_point_segment_distance(a1, b1, b2)[0],
+        ref_point_segment_distance(a2, b1, b2)[0],
+        ref_point_segment_distance(b1, a1, a2)[0],
+        ref_point_segment_distance(b2, a1, a2)[0],
+    )
+
+
+def _ref_corners(obj):
+    w = obj.width / 2.0
+    h = (obj.height if obj.kind is ShapeKind.RECTANGLE else obj.thickness) / 2.0
+    pts = [Point(-w, -h), Point(w, -h), Point(w, h), Point(-w, h)]
+    return [Point(obj.x, obj.y) + rotate(p, obj.rotation) for p in pts]
+
+
+def _ref_point_in_polygon(p, corners):
+    inside = False
+    n = len(corners)
+    for i in range(n):
+        a, b = corners[i], corners[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            xc = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if p.x < xc:
+                inside = not inside
+    return inside
+
+
+def ref_clearance_to_segment(obj, a, b):
+    if obj.kind is ShapeKind.CIRCLE:
+        dist, _ = ref_point_segment_distance(Point(obj.x, obj.y), a, b)
+        return dist - obj.diameter / 2.0
+    corners = _ref_corners(obj)
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    d = min(ref_segment_segment_distance(a, b, e1, e2) for e1, e2 in edges)
+    if d == 0.0:
+        return 0.0
+    if _ref_point_in_polygon(a, corners) and _ref_point_in_polygon(b, corners):
+        return -d
+    return d
+
+
+def _bits(*values):
+    return [v.hex() for v in values]
+
+
+coords = st.floats(-250.0, 250.0)
+points = st.builds(Point, coords, coords)
+fractions = st.floats(0.0, 1.0)
+
+
+@st.composite
+def segments(draw):
+    a = draw(points)
+    b = draw(st.one_of(st.just(a), points))       # zero-length segments included
+    return a, b
+
+
+@st.composite
+def scene_objects(draw):
+    kind = draw(st.sampled_from(ShapeKind))
+    x, y = draw(coords), draw(coords)
+    if kind is ShapeKind.CIRCLE:
+        return SceneObject.circle(draw(st.floats(0.1, 200.0)), x=x, y=y)
+    if kind is ShapeKind.RECTANGLE:
+        return SceneObject.rectangle(draw(st.floats(0.1, 200.0)), draw(st.floats(0.1, 200.0)),
+                                     x=x, y=y, rotation=draw(st.floats(-math.pi, math.pi)))
+    thickness = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    return SceneObject.slab(thickness, draw(st.floats(0.1, 200.0)), surface_y=y, x=x)
+
+
+@st.composite
+def objects_with_segments(draw):
+    """An object and a segment: free, from an edge or a corner, or fully inside."""
+    obj = draw(scene_objects())
+    where = draw(st.sampled_from(["free", "edge", "corner", "inside"]))
+    if where == "free":
+        return (obj, *draw(segments()))
+    if obj.kind is ShapeKind.CIRCLE:
+        def at(u, ang):
+            r = obj.diameter / 2.0 * u
+            return Point(obj.x + r * math.cos(ang), obj.y + r * math.sin(ang))
+        angles = st.floats(-math.pi, math.pi)
+        if where == "inside":
+            return obj, at(draw(fractions), draw(angles)), at(draw(fractions), draw(angles))
+        a = at(1.0, draw(angles))
+        return obj, a, draw(st.one_of(st.just(a), points))
+    c = _ref_corners(obj)
+    if where == "inside":
+        # bilinear points of the rectangle, so both ends lie in the object
+        def at(u, v):
+            return c[0] + (c[1] - c[0]).scaled(u) + (c[3] - c[0]).scaled(v)
+        return obj, at(draw(fractions), draw(fractions)), at(draw(fractions), draw(fractions))
+    k = draw(st.integers(0, 3))
+    a = c[k] if where == "corner" else c[k] + (c[(k + 1) % 4] - c[k]).scaled(draw(fractions))
+    return obj, a, draw(st.one_of(st.just(a), points))
+
+
+@settings(max_examples=400, deadline=None)
+@given(points, segments())
+def test_point_segment_distance_is_bit_identical(p, seg):
+    a, b = seg
+    assert _bits(*point_segment_distance(p, a, b)) == \
+        _bits(*ref_point_segment_distance(p, a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(segments(), segments())
+def test_segment_segment_distance_is_bit_identical(s1, s2):
+    assert _bits(segment_segment_distance(*s1, *s2)) == \
+        _bits(ref_segment_segment_distance(*s1, *s2))
+
+
+@settings(max_examples=600, deadline=None)
+@given(objects_with_segments())
+def test_clearance_to_segment_is_bit_identical(case):
+    obj, a, b = case
+    assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+    # a second call reads the cached outline and must agree with the first
+    assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+
+
+def test_hand_picked_contacts_are_bit_identical():
+    rect = SceneObject.rectangle(80.0, 40.0, x=5.0, y=-60.0, rotation=0.3)
+    slab = SceneObject.slab(0.0, 100.0, surface_y=-120.0)
+    disc = SceneObject.circle(60.0, y=-70.0)
+    c = rect.corners()
+    cases = [
+        (rect, c[0], c[0]),                        # zero-length at a corner
+        (rect, c[0], c[0] + Point(-10.0, -3.0)),   # leaving a corner outward
+        (rect, c[1], c[2]),                        # lying along an edge
+        (rect, Point(5.0, -60.0), Point(6.0, -61.0)),  # fully inside
+        (slab, Point(-60.0, -120.0), Point(60.0, -120.0)),  # along a zero-thickness slab
+        (slab, Point(0.0, -100.0), Point(0.0, -130.0)),     # crossing it
+        (slab, Point(0.0, -119.0), Point(0.0, -119.0)),     # point just above it
+        (disc, Point(0.0, -70.0), Point(0.0, -70.0)),       # the centre
+        (disc, Point(30.0, -70.0), Point(30.0, -10.0)),     # tangent
+    ]
+    for obj, a, b in cases:
+        assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
