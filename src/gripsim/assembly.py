@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from . import finger as fg
 from . import linkage
 from . import transmission as tm
 from .config import GripperConfig, default_config
 from .errors import ClassificationError, GripsimError
-from .finger import Behavior, FingerState, Phalanx, PhalanxContact
+from .finger import Behavior, FingerParams, FingerState, Phalanx, PhalanxContact
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
 from .transmission import LockStage, RackSegment, Route, TransmissionState
@@ -31,6 +32,8 @@ _BISECT_ITERS = 60
 
 # side (0 left, 1 right) of each physical finger; the two right fingers share a state
 SIDES = (0, 1, 1)
+
+Segments = tuple[tuple[Point, Point], ...]   # one finger's, in ``Phalanx`` order
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class GripperAssembly:
 
     ``fingers`` and ``mounts()`` are indexed by side; ``world_segments`` and
     ``tip`` take a physical finger index 0-2 and map it through ``SIDES``.
+    Both sides are posed once per instance; ``replace()`` starts an empty cache.
     """
 
     config: GripperConfig
@@ -58,16 +62,16 @@ class GripperAssembly:
         h = self.config.layout.half_width + self.transmission.base_translation / 2.0
         return (Mount(-h, 1.0), Mount(h, -1.0))
 
-    def world_segments(self, i: int) -> dict[Phalanx, tuple[Point, Point]]:
-        mount = self.mounts()[SIDES[i]]
-        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[SIDES[i]])
-        return {ph: (mount.to_world(a), mount.to_world(b))
-                for ph, (a, b) in pose.segments().items()}
+    @cached_property
+    def _side_segments(self) -> tuple[Segments, Segments]:
+        params = self.config.finger_params()
+        return tuple(_world_segments(params, f, m) for f, m in zip(self.fingers, self.mounts()))
+
+    def world_segments(self, i: int) -> Segments:
+        return self._side_segments[SIDES[i]]
 
     def tip(self, i: int) -> Point:
-        mount = self.mounts()[SIDES[i]]
-        pose = fg.phalanx_poses(self.config.finger_params(), self.fingers[SIDES[i]])
-        return mount.to_world(pose.tip)
+        return self.world_segments(i)[-1][1]
 
     def aperture(self) -> float:
         return self.tip(1).x - self.tip(0).x
@@ -95,9 +99,7 @@ def contact_detect(assembly: GripperAssembly,
     tol = assembly.config.contact_tol
     out: list[tuple[int, PhalanxContact]] = []
     for i in range(len(SIDES)):
-        segments = assembly.world_segments(i)
-        for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
-            a, b = segments[ph]
+        for ph, (a, b) in zip(Phalanx, assembly.world_segments(i)):
             clear = obj.clearance_to_segment(a, b)
             if clear <= tol:
                 out.append((i, PhalanxContact(phalanx=ph, point=_closest_point(obj, a, b),
@@ -118,17 +120,20 @@ def _closest_point(obj: SceneObject, a: Point, b: Point) -> Point:
     return best
 
 
-def _min_new_clearance(cfg: GripperConfig, state: FingerState, mount: Mount,
-                       obj: SceneObject | None) -> float:
+def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> Segments:
+    """Pose one finger state and carry its segments into the world frame."""
+    return tuple((mount.to_world(a), mount.to_world(b))
+                 for a, b in fg.phalanx_poses(params, state).segments())
+
+
+def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
+                obj: SceneObject | None) -> tuple[float, ...]:
+    """Each phalanx's clearance to ``obj``; ``inf`` if it is in contact or there is no object."""
     if obj is None:
-        return float("inf")
-    pose = fg.phalanx_poses(cfg.finger_params(), state)
-    clear = float("inf")
-    for ph, (a, b) in pose.segments().items():
-        if ph in state.contact_fixed:
-            continue
-        clear = min(clear, obj.clearance_to_segment(mount.to_world(a), mount.to_world(b)))
-    return clear
+        return (math.inf,) * len(Phalanx)
+    segments = _world_segments(cfg.finger_params(), state, mount)
+    return tuple(math.inf if ph in state.contact_fixed else obj.clearance_to_segment(a, b)
+                 for ph, (a, b) in zip(Phalanx, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -183,41 +188,35 @@ def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
     return state
 
 
-def _clamped_advance(cfg: GripperConfig, state: FingerState, mount: Mount,
-                     obj: SceneObject | None, joint_delta: float,
-                     surface: float | None) -> FingerState:
-    """Advance, bisecting the step so no uncontacted phalanx crosses the object."""
+def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
+                  obj: SceneObject | None, joint_delta: float,
+                  surface: float | None) -> FingerState:
+    """Advance, bisecting the step so no uncontacted phalanx crosses the object,
+    then fix every phalanx the advanced state leaves within tolerance."""
     full = _advance_finger(cfg, state, joint_delta, surface)
-    if _min_new_clearance(cfg, full, mount, obj) >= 0.0:
-        return full
+    clear = _clearances(cfg, full, mount, obj)
+    if min(clear) >= 0.0:
+        return _register_contacts(cfg, full, clear)
     lo, hi = 0.0, 1.0
     tol = cfg.contact_tol
     for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
         cand = _advance_finger(cfg, state, joint_delta * mid, surface)
-        c = _min_new_clearance(cfg, cand, mount, obj)
-        if c < tol / 2.0:
+        if min(_clearances(cfg, cand, mount, obj)) < tol / 2.0:
             hi = mid
         else:
             lo = mid
-    return _advance_finger(cfg, state, joint_delta * lo, surface)
+    nxt = _advance_finger(cfg, state, joint_delta * lo, surface)
+    return _register_contacts(cfg, nxt, _clearances(cfg, nxt, mount, obj))
 
 
-def _register_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
-                       obj: SceneObject | None) -> FingerState:
-    if obj is None:
-        return state
+def _register_contacts(cfg: GripperConfig, state: FingerState,
+                       clear: tuple[float, ...]) -> FingerState:
+    """Fix each phalanx whose clearance (from ``_clearances`` of ``state``) is within tolerance."""
     params = cfg.finger_params()
-    segments = fg.phalanx_poses(params, state).segments()
-    for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
-        if ph in state.contact_fixed:
-            continue
-        a, b = segments[ph]
-        clear = obj.clearance_to_segment(mount.to_world(a), mount.to_world(b))
-        if clear <= cfg.contact_tol:
-            contact = PhalanxContact(phalanx=ph, point=mount.to_world(a),
-                                     penetration=max(0.0, -clear))
-            state = fg.apply_contact(params, state, contact)
+    for ph, c in zip(Phalanx, clear):
+        if c <= cfg.contact_tol:
+            state = fg.apply_contact(params, state, ph, max(0.0, -c))
     return state
 
 
@@ -225,12 +224,10 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
                       obj: SceneObject | None) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    segments = fg.phalanx_poses(cfg.finger_params(), state).segments()
-    keep = set()
-    for ph in state.contact_fixed:
-        a, b = segments[ph]
-        if obj.clearance_to_segment(mount.to_world(a), mount.to_world(b)) <= 5.0 * cfg.contact_tol:
-            keep.add(ph)
+    segments = _world_segments(cfg.finger_params(), state, mount)
+    keep = {ph for ph, (a, b) in zip(Phalanx, segments)
+            if ph in state.contact_fixed
+            and obj.clearance_to_segment(a, b) <= 5.0 * cfg.contact_tol}
     if keep == state.contact_fixed:
         return state
     return replace(state, contact_fixed=frozenset(keep))
@@ -301,7 +298,8 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         fingers = list(asm2.fingers)
         for i in (0, 1):
             if direction < 0:
-                fingers[i] = _register_contacts(cfg, fingers[i], mounts[i], run.obj)
+                clear = _clearances(cfg, fingers[i], mounts[i], run.obj)
+                fingers[i] = _register_contacts(cfg, fingers[i], clear)
             else:
                 fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj)
         run.assembly = replace(asm2, fingers=tuple(fingers))
@@ -323,8 +321,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     for i in (0, 1):
         before = fingers[i]
         if direction < 0:
-            nxt = _clamped_advance(cfg, before, mounts[i], run.obj, joint_delta, surface)
-            nxt = _register_contacts(cfg, nxt, mounts[i], run.obj)
+            nxt = _close_finger(cfg, before, mounts[i], run.obj, joint_delta, surface)
         else:
             nxt = _open_finger(cfg, before, joint_delta, surface)
             nxt = _release_contacts(cfg, nxt, mounts[i], run.obj)
@@ -357,9 +354,8 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         if gap_frac < 1.0:
             fingers = list(asm.fingers)
             for i in (0, 1):
-                fingers[i] = _clamped_advance(cfg, asm.fingers[i], mounts[i], run.obj,
-                                              joint_delta * gap_frac, surface)
-                fingers[i] = _register_contacts(cfg, fingers[i], mounts[i], run.obj)
+                fingers[i] = _close_finger(cfg, asm.fingers[i], mounts[i], run.obj,
+                                           joint_delta * gap_frac, surface)
             asm2 = replace(asm, fingers=tuple(fingers), transmission=trans_new)
             run.assembly = asm2
             _note_first_contact(run)
@@ -396,7 +392,7 @@ def _base_fraction(cfg: GripperConfig, asm: GripperAssembly,
         probe = replace(asm, transmission=replace(asm.transmission, lock=lock))
         c = float("inf")
         for state, mount in zip(probe.fingers, probe.mounts()):
-            c = min(c, _min_new_clearance(cfg, state, mount, obj))
+            c = min(c, *_clearances(cfg, state, mount, obj))
         return c
 
     if clear_at(1.0) >= 0.0:
@@ -508,7 +504,9 @@ def run_commands(assembly: GripperAssembly, obj: SceneObject | None,
 
 def close_until_stable(assembly: GripperAssembly, obj: SceneObject | None,
                        command: str = "proximal") -> GraspReport:
-    """Drive the motor until the grasp is stable, fully closed, or stalled."""
+    """Run a grasp script.  No stable grasp is detected: each command stops at drive
+    end of travel, a jam, spring load at the torque bound, fingertips met, lock
+    engaged or its step budget."""
     scripts = {
         "proximal": [Command(Verb.CLOSE)],
         "remote": [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)],

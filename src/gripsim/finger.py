@@ -85,12 +85,9 @@ class FingerPose:
     o3: Point
     tip: Point
 
-    def segments(self) -> dict[Phalanx, tuple[Point, Point]]:
-        return {
-            Phalanx.PROXIMAL: (self.o1, self.o2),
-            Phalanx.MIDDLE: (self.o2, self.o3),
-            Phalanx.DISTAL: (self.o3, self.tip),
-        }
+    def segments(self) -> tuple[tuple[Point, Point], ...]:
+        """Proximal, middle and distal segments, in ``Phalanx`` order."""
+        return ((self.o1, self.o2), (self.o2, self.o3), (self.o3, self.tip))
 
 
 @dataclass(frozen=True)
@@ -185,31 +182,31 @@ def _travel_left(params: FingerParams, state: FingerState, phalanx: Phalanx) -> 
     return state.L3 - params.L3_min
 
 
-def apply_contact(params: FingerParams, state: FingerState,
-                  contact: PhalanxContact) -> FingerState:
+def apply_contact(params: FingerParams, state: FingerState, phalanx: Phalanx,
+                  penetration: float) -> FingerState:
     """Freeze the struck phalanx's driving angle and select the compliant path."""
-    if contact.penetration < 0.0:
+    if penetration < 0.0:
         raise ValueError("penetration must be non-negative")
-    if contact.phalanx in state.contact_fixed:
-        if contact.penetration > _travel_left(params, state, contact.phalanx) + params.contact_tol:
+    if phalanx in state.contact_fixed:
+        if penetration > _travel_left(params, state, phalanx) + params.contact_tol:
             raise OverCompressionError(
-                f"{contact.phalanx.value} contact demands {contact.penetration:.3f} mm "
+                f"{phalanx.value} contact demands {penetration:.3f} mm "
                 "beyond the remaining slider travel"
             )
         return state
 
-    fixed = state.contact_fixed | {contact.phalanx}
+    fixed = state.contact_fixed | {phalanx}
     behavior = state.behavior
     theta2 = state.theta2
     anchor = state.alpha_anchor
 
-    if contact.phalanx is Phalanx.PROXIMAL and state.behavior is Behavior.PARALLEL:
+    if phalanx is Phalanx.PROXIMAL and state.behavior is Behavior.PARALLEL:
         anchor = linkage.anchor_alpha(params.geometry, state.theta1, state.L1)
         if anchor is not None:
             behavior = Behavior.ENVELOPING_PROXIMAL
             theta2 = params.geometry.beta - anchor
         # beyond the closure fold the finger simply freezes in place
-    elif contact.phalanx is Phalanx.MIDDLE:
+    elif phalanx is Phalanx.MIDDLE:
         if state.behavior in (Behavior.PARALLEL, Behavior.ENVELOPING_PROXIMAL):
             behavior = Behavior.ENVELOPING_DECOUPLED
 

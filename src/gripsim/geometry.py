@@ -29,9 +29,6 @@ class Point:
     def scaled(self, k: float) -> "Point":
         return Point(self.x * k, self.y * k)
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .assembly import GripperAssembly, contact_detect
-from .finger import Phalanx
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
 
@@ -43,11 +42,8 @@ def frame_svg(assembly: GripperAssembly, obj: SceneObject | None,
             f'x2="{_fmt(half - 10)}" y2="{_fmt(-obj.surface_y)}" '
             'stroke="#b89958" stroke-width="0.8" stroke-dasharray="4 3"/>'
         )
-    for i in range(3):
-        segs = assembly.world_segments(i)
-        color = _FINGER_COLORS[i]
-        for ph in (Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL):
-            a, b = segs[ph]
+    for i, color in enumerate(_FINGER_COLORS):
+        for a, b in assembly.world_segments(i):
             parts.append(
                 f'  <polyline points="{_pt(a)} {_pt(b)}" fill="none" '
                 f'stroke="{color}" stroke-width="2.5" stroke-linecap="round"/>'

@@ -31,7 +31,7 @@ _OBJECT_KEYS = {"shape", "diameter", "width", "height", "thickness",
 
 _VERBS = {v.value: v for v in Verb}
 
-_POSITIVE_KEYS = {"diameter", "width", "height", "scale", "aperture_max",
+_POSITIVE_KEYS = {"diameter", "width", "height", "scale", "aperture_max", "contact_tol",
                   "L1_min", "L2_min", "L3_min", "motor_step_deg", "trace_stride"}
 
 
@@ -128,7 +128,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        vcol = line.index("=") + 2
+        vcol = len(line) - len(line[line.index("=") + 1:].lstrip()) + 1
         if section == "gripper":
             _parse_gripper_key(key, value, lineno, col, vcol, gripper, diagnostics)
         elif section == "object":
@@ -146,7 +146,10 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 
 def _parse_float(value: str) -> float:
-    return float(value)
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(value)
+    return v
 
 
 def _parse_gripper_key(key, value, lineno, col, vcol, out, diagnostics) -> None:
@@ -160,7 +163,7 @@ def _parse_gripper_key(key, value, lineno, col, vcol, out, diagnostics) -> None:
         try:
             v = _parse_float(value)
         except ValueError:
-            diagnostics.append((lineno, vcol, f"{key}: expected a number"))
+            diagnostics.append((lineno, vcol, f"{key}: expected a finite number"))
             return
     else:
         diagnostics.append((lineno, col, f"unknown [gripper] key `{key}`"))
@@ -184,7 +187,7 @@ def _parse_object_key(key, value, lineno, col, vcol, out, diagnostics) -> None:
     try:
         v = _parse_float(value)
     except ValueError:
-        diagnostics.append((lineno, vcol, f"{key}: expected a number"))
+        diagnostics.append((lineno, vcol, f"{key}: expected a finite number"))
         return
     if key in _POSITIVE_KEYS and v <= 0:
         diagnostics.append((lineno, vcol, f"{key}: must be positive"))

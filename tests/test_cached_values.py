@@ -1,14 +1,18 @@
 """Per-instance cached geometry and parameters must never go stale.
 
-``SceneObject`` caches its outline and ``GripperConfig`` its resolved
-parameter sets in the instance ``__dict__``; both are frozen dataclasses, so
-a changed value is always a new instance with an empty cache.
+``SceneObject`` caches its outline, ``GripperConfig`` its resolved
+parameter sets and ``GripperAssembly`` its posed world segments in the
+instance ``__dict__``; all three are frozen dataclasses, so a changed value
+is always a new instance with an empty cache.
 """
 
 from dataclasses import replace
 
+from gripsim import finger as fg
+from gripsim.assembly import GripperAssembly, build_gripper, close_until_stable
 from gripsim.config import build_config
 from gripsim.geometry import Point
+from gripsim.render import frame_svg
 from gripsim.scene import SceneObject
 
 
@@ -56,3 +60,49 @@ def test_filled_caches_leave_equality_and_hash_alone():
     assert c1 == c2 and hash(c1) == hash(c2)
     assert c1.finger_params() == c2.finger_params()
     assert c1.transmission_params() == c2.transmission_params()
+
+
+def _posed(asm):
+    return ([asm.world_segments(i) for i in range(3)],
+            [asm.tip(i) for i in range(3)], asm.aperture())
+
+
+def test_replaced_assembly_is_posed_afresh(cfg):
+    asm = build_gripper(cfg)
+    before = _posed(asm)
+    shifted = replace(asm, transmission=build_gripper(cfg, 40.0).transmission)
+    assert _posed(shifted) == _posed(build_gripper(cfg, 40.0))
+    assert shifted.aperture() > asm.aperture()
+    closed = fg.advance_theta1(cfg.finger_params(), asm.fingers[0], 0.3)
+    moved = replace(asm, fingers=(closed, closed))
+    fresh = GripperAssembly(config=cfg, fingers=(closed, closed),
+                            transmission=asm.transmission)
+    assert _posed(moved) == _posed(fresh)
+    assert moved.aperture() < asm.aperture()
+    assert _posed(asm) == before
+
+
+def test_filled_assembly_caches_leave_equality_and_hash_alone(cfg):
+    a, b = build_gripper(cfg), build_gripper(cfg)
+    a.aperture()
+    assert a == b and hash(a) == hash(b)
+    b.world_segments(2)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_frame_svg_reuses_the_poses_of_an_engine_snapshot(cfg, monkeypatch):
+    obj = SceneObject.circle(60.0, 0.0, -40.0)
+    snapshot = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]
+    calls = []
+    real = fg.phalanx_poses
+
+    def counted(params, state):
+        calls.append(state)
+        return real(params, state)
+
+    monkeypatch.setattr(fg, "phalanx_poses", counted)
+    frame_svg(build_gripper(cfg), obj)
+    assert len(calls) == 2   # one pose per side: the two right fingers share a state
+    calls.clear()
+    frame_svg(snapshot, obj)
+    assert calls == []

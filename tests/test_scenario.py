@@ -24,6 +24,20 @@ def test_negative_diameter_is_a_range_diagnostic():
     assert "positive" in msg
 
 
+@pytest.mark.parametrize("text, line, col, msg", [
+    ("[object]\nshape = circle\ndiameter = nan\n", 3, 12, "diameter: expected a finite number"),
+    ("[object]\nshape = circle\ndiameter = 1e400\n", 3, 12,
+     "diameter: expected a finite number"),
+    ("[object]\nshape = circle\ndiameter = 30\ny = inf\n", 4, 5, "y: expected a finite number"),
+    ("[gripper]\ncontact_tol = -1\n", 2, 15, "contact_tol: must be positive"),
+    ("[gripper]\ncontact_tol = 0\n", 2, 15, "contact_tol: must be positive"),
+])
+def test_non_finite_numbers_and_non_positive_tolerance_are_rejected(text, line, col, msg):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == [(line, col, msg)]
+
+
 def test_unknown_key_is_rejected_with_location():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("[gripper]\nwarp_drive = 9\n")
