@@ -7,8 +7,12 @@ share one motor through the gear train, so the whole gripper advances in
 lockstep and the first finger that can absorb no more motion stalls the
 train.  Objects are rigid and fixed;
 every motor step is routed through the transmission and then through each
-finger's compliant path, with contact events resolved by bisection so states
-land just touching (within the contact tolerance) and never penetrate.
+finger's compliant path, with contact events resolved by bisection so no
+stepped state carries a free phalanx into the object: it lands just touching
+(within the contact tolerance).  The start state is not checked, so a scene
+whose object overlaps a rest phalanx starts penetrating; and a phalanx that
+crosses a rectangle's edge reads clearance 0, so the engine takes it for a
+touch.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .scene import SceneObject, ShapeKind
 from .transmission import LockStage, RackSegment, Route, TransmissionState
 
 _BISECT_ITERS = 60
+
+# a clearance bound skips the kernels only if it clears contact_tol by this
+# much (mm); kernel rounding on coordinates of a few hundred mm is ~1e-13
+_BOUND_MARGIN = 1e-9
 
 # side (0 left, 1 right) of each physical finger; the two right fingers share a state
 SIDES = (0, 1, 1)
@@ -59,8 +67,7 @@ class GripperAssembly:
     transmission: TransmissionState
 
     def mounts(self) -> tuple[Mount, Mount]:
-        h = self.config.layout.half_width + self.transmission.base_translation / 2.0
-        return (Mount(-h, 1.0), Mount(h, -1.0))
+        return _mounts(self.config, self.transmission.base_translation)
 
     @cached_property
     def _side_segments(self) -> tuple[Segments, Segments]:
@@ -75,6 +82,12 @@ class GripperAssembly:
 
     def aperture(self) -> float:
         return self.tip(1).x - self.tip(0).x
+
+
+def _mounts(cfg: GripperConfig, travel: float) -> tuple[Mount, Mount]:
+    """Left and right MCP mounts for a total base shift of ``travel`` (mm)."""
+    h = cfg.layout.half_width + travel / 2.0
+    return (Mount(-h, 1.0), Mount(h, -1.0))
 
 
 def build_gripper(config: GripperConfig | None = None,
@@ -126,14 +139,65 @@ def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> S
                  for a, b in fg.phalanx_poses(params, state).segments())
 
 
+@dataclass
+class _LastExact:
+    """One side's world segments and clearances at its last exact evaluation.
+
+    A phalanx that was in contact then holds ``-inf``, so once released it is
+    always computed afresh.
+    """
+
+    segments: Segments = ()
+    clearances: tuple[float, ...] = ()
+
+    def bounds(self, segments: Segments, fixed: frozenset[Phalanx],
+               floor: float) -> tuple[float, ...] | None:
+        """Lower bounds on the clearances of ``segments``, ``inf`` for a phalanx in
+        ``fixed``; None unless every other phalanx's bound exceeds ``floor``.
+
+        Clearance is 1-Lipschitz in the displacement of a segment's endpoints,
+        and every point of a segment moves at most as far as its farther
+        endpoint, so a phalanx is at least ``c - max(|da|, |db|)`` clear, where
+        ``c`` is its clearance here and ``da``, ``db`` are how far its endpoints
+        moved since (taxicab lengths, which are never shorter than Euclidean).
+        """
+        if not self.segments:
+            return None
+        out = []
+        for ph, (a, b), (ra, rb), c in zip(Phalanx, segments, self.segments, self.clearances):
+            if fixed and ph in fixed:
+                out.append(math.inf)
+                continue
+            lb = c - max(abs(a.x - ra.x) + abs(a.y - ra.y), abs(b.x - rb.x) + abs(b.y - rb.y))
+            if not lb > floor:
+                return None
+            out.append(lb)
+        return tuple(out)
+
+
 def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
-                obj: SceneObject | None) -> tuple[float, ...]:
-    """Each phalanx's clearance to ``obj``; ``inf`` if it is in contact or there is no object."""
+                obj: SceneObject | None, last: _LastExact) -> tuple[float, ...]:
+    """Each phalanx's clearance to ``obj``; ``inf`` if it is in contact or there is no object.
+
+    A returned value above ``contact_tol`` may be a lower bound: while the
+    bounds from ``last`` (the side's last exact evaluation) keep every phalanx
+    not in contact more than ``contact_tol`` clear, no kernel runs.  Otherwise
+    every clearance is computed exactly and ``last`` is refreshed.  Callers
+    only ask whether a value is negative, under ``contact_tol / 2`` or within
+    ``contact_tol``, which a bound answers as the exact value would.
+    """
     if obj is None:
         return (math.inf,) * len(Phalanx)
     segments = _world_segments(cfg.finger_params(), state, mount)
-    return tuple(math.inf if ph in state.contact_fixed else obj.clearance_to_segment(a, b)
-                 for ph, (a, b) in zip(Phalanx, segments))
+    fixed = state.contact_fixed
+    bounds = last.bounds(segments, fixed, cfg.contact_tol + _BOUND_MARGIN)
+    if bounds is not None:
+        return bounds
+    clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
+                  for ph, (a, b) in zip(Phalanx, segments))
+    last.segments = segments
+    last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(Phalanx, clear))
+    return clear
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +225,8 @@ class _Run:
     tip_surface_gap: float = 0.0
     snapshots: list = field(default_factory=list)
     events: list[str] = field(default_factory=list)
+    last_exact: tuple[_LastExact, _LastExact] = field(
+        default_factory=lambda: (_LastExact(), _LastExact()))
 
     def snap(self) -> None:
         self.snapshots.append((self.steps, self.assembly))
@@ -189,12 +255,12 @@ def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
 
 
 def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
-                  obj: SceneObject | None, joint_delta: float,
+                  obj: SceneObject | None, last: _LastExact, joint_delta: float,
                   surface: float | None) -> FingerState:
     """Advance, bisecting the step so no uncontacted phalanx crosses the object,
     then fix every phalanx the advanced state leaves within tolerance."""
     full = _advance_finger(cfg, state, joint_delta, surface)
-    clear = _clearances(cfg, full, mount, obj)
+    clear = _clearances(cfg, full, mount, obj, last)
     if min(clear) >= 0.0:
         return _register_contacts(cfg, full, clear)
     lo, hi = 0.0, 1.0
@@ -202,12 +268,12 @@ def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
     for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
         cand = _advance_finger(cfg, state, joint_delta * mid, surface)
-        if min(_clearances(cfg, cand, mount, obj)) < tol / 2.0:
+        if min(_clearances(cfg, cand, mount, obj, last)) < tol / 2.0:
             hi = mid
         else:
             lo = mid
     nxt = _advance_finger(cfg, state, joint_delta * lo, surface)
-    return _register_contacts(cfg, nxt, _clearances(cfg, nxt, mount, obj))
+    return _register_contacts(cfg, nxt, _clearances(cfg, nxt, mount, obj, last))
 
 
 def _register_contacts(cfg: GripperConfig, state: FingerState,
@@ -284,7 +350,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             run.stalled = True
             return False
         shift = trans_new.base_translation - asm.transmission.base_translation
-        frac = _base_fraction(cfg, asm, run.obj, shift)
+        frac = _base_fraction(cfg, run, shift)
         if frac <= 1e-12:
             run.stalled = True
             return False
@@ -298,7 +364,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         fingers = list(asm2.fingers)
         for i in (0, 1):
             if direction < 0:
-                clear = _clearances(cfg, fingers[i], mounts[i], run.obj)
+                clear = _clearances(cfg, fingers[i], mounts[i], run.obj, run.last_exact[i])
                 fingers[i] = _register_contacts(cfg, fingers[i], clear)
             else:
                 fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj)
@@ -321,7 +387,8 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     for i in (0, 1):
         before = fingers[i]
         if direction < 0:
-            nxt = _close_finger(cfg, before, mounts[i], run.obj, joint_delta, surface)
+            nxt = _close_finger(cfg, before, mounts[i], run.obj, run.last_exact[i],
+                                joint_delta, surface)
         else:
             nxt = _open_finger(cfg, before, joint_delta, surface)
             nxt = _release_contacts(cfg, nxt, mounts[i], run.obj)
@@ -337,7 +404,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if direction > 0 and not moved_any:
         return False
 
-    if direction < 0 and _spring_load(cfg, fingers) > _force_budget(cfg):
+    if direction < 0 and _spring_load(cfg, fingers) > cfg.force_budget:
         # the motor cannot stretch the retraction springs any further
         run.stalled = True
         run.events.append("stall: spring load at the torque bound")
@@ -355,7 +422,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             fingers = list(asm.fingers)
             for i in (0, 1):
                 fingers[i] = _close_finger(cfg, asm.fingers[i], mounts[i], run.obj,
-                                           joint_delta * gap_frac, surface)
+                                           run.last_exact[i], joint_delta * gap_frac, surface)
             asm2 = replace(asm, fingers=tuple(fingers), transmission=trans_new)
             run.assembly = asm2
             _note_first_contact(run)
@@ -375,24 +442,18 @@ def _spring_load(cfg: GripperConfig, fingers: list[FingerState]) -> float:
     return sum(sum(fg.spring_forces(params, fingers[side])) for side in SIDES)
 
 
-def _force_budget(cfg: GripperConfig) -> float:
-    """Force available at the crank: output torque over the crank arm (N)."""
-    return tm.output_torque(cfg.motor_torque,
-                            cfg.transmission_params().train) * 1000.0 / cfg.geometry.D1
-
-
-def _base_fraction(cfg: GripperConfig, asm: GripperAssembly,
-                   obj: SceneObject | None, shift: float) -> float:
+def _base_fraction(cfg: GripperConfig, run: _Run, shift: float) -> float:
+    """Share of a base shift the fingers can take before a free phalanx touches."""
+    asm, obj = run.assembly, run.obj
     if obj is None or shift == 0.0:
         return 1.0
+    travel = asm.transmission.lock.travel
 
     def clear_at(t: float) -> float:
-        lock = asm.transmission.lock
-        lock = replace(lock, travel=lock.travel + shift * t)
-        probe = replace(asm, transmission=replace(asm.transmission, lock=lock))
         c = float("inf")
-        for state, mount in zip(probe.fingers, probe.mounts()):
-            c = min(c, *_clearances(cfg, state, mount, obj))
+        for state, mount, last in zip(asm.fingers, _mounts(cfg, travel + shift * t),
+                                      run.last_exact):
+            c = min(c, *_clearances(cfg, state, mount, obj, last))
         return c
 
     if clear_at(1.0) >= 0.0:

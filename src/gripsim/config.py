@@ -15,7 +15,7 @@ from .calibrate import PalmLayout
 from .errors import ConfigError
 from .finger import FingerParams, SpringBank
 from .linkage import RIGHT_ANGLE, LinkageGeometry
-from .transmission import GearTrain, SlotGeometry, TransmissionParams
+from .transmission import GearTrain, SlotGeometry, TransmissionParams, output_torque
 
 
 def _deg(x: float) -> float:
@@ -118,6 +118,12 @@ class GripperConfig:
             springs=self.springs,
             contact_tol=self.contact_tol,
         )
+
+    @cached_property
+    def force_budget(self) -> float:
+        """Force available at the crank: output torque over the crank arm (N)."""
+        return output_torque(self.motor_torque,
+                             self.transmission_params().train) * 1000.0 / self.geometry.D1
 
     @cached_property
     def _transmission_params(self) -> TransmissionParams:

@@ -8,6 +8,8 @@ is always a new instance with an empty cache.
 
 from dataclasses import replace
 
+import pytest
+
 from gripsim import finger as fg
 from gripsim.assembly import GripperAssembly, build_gripper, close_until_stable
 from gripsim.config import build_config
@@ -45,6 +47,9 @@ def test_replaced_config_resolves_its_own_params(cfg):
     wide = replace(cfg, finger_gear_radius=10.0)
     assert wide.transmission_params().finger_gear_radius == 10.0
     assert cfg.transmission_params().finger_gear_radius == 7.5
+    weak = replace(cfg, motor_torque=3.3)
+    assert weak.force_budget == pytest.approx(cfg.force_budget / 2.0)
+    assert cfg.force_budget == 30 * 6.6 * 1000.0 / cfg.geometry.D1
 
 
 def test_filled_caches_leave_equality_and_hash_alone():

@@ -6,6 +6,9 @@ of ``point_segment_distance``, ``segment_segment_distance`` and
 as ``_dot`` and ``_cross``).  The rewrite keeps every arithmetic operation in
 the same order, so results must match bit for bit: floats are compared
 through ``float.hex``, which also tells -0.0 from 0.0.
+
+The engine skips the kernels while a Lipschitz lower bound keeps a phalanx
+clear of contact; the last test checks that bound against the kernels.
 """
 
 import math
@@ -13,6 +16,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gripsim.assembly import _BOUND_MARGIN, _LastExact
 from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
 from gripsim.scene import SceneObject, ShapeKind
 
@@ -192,3 +196,43 @@ def test_hand_picked_contacts_are_bit_identical():
     ]
     for obj, a, b in cases:
         assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+
+
+@st.composite
+def displaced_phalanges(draw):
+    """An object, a contact tolerance, three segments and the same segments displaced.
+
+    Each endpoint moves a taxicab length of up to 1.2 times its segment's
+    clearance beyond the tolerance, often just under it, so the bound lands
+    on both sides of the tolerance and close to it.
+    """
+    obj = draw(scene_objects())
+    tol = draw(st.floats(1e-3, 5.0))
+    share = st.one_of(st.floats(0.0, 1.2), st.floats(0.99, 1.0))
+    ref, moved = [], []
+    for _ in range(3):
+        a, b = draw(segments())
+        reach = max(obj.clearance_to_segment(a, b) - tol, 1.0)
+
+        def shifted(p):
+            r = draw(share) * reach
+            u = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), fractions))
+            sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+            return Point(p.x + sx * r * u, p.y + sy * r * (1.0 - u))
+        ref.append((a, b))
+        moved.append((shifted(a), shifted(b)))
+    return obj, tol, tuple(ref), tuple(moved)
+
+
+@settings(max_examples=800, deadline=None)
+@given(displaced_phalanges())
+def test_a_skipped_clearance_check_could_not_have_found_contact(case):
+    obj, tol, ref, moved = case
+    last = _LastExact(ref, tuple(obj.clearance_to_segment(a, b) for a, b in ref))
+    bounds = last.bounds(moved, frozenset(), tol + _BOUND_MARGIN)
+    if bounds is None:
+        return
+    for (a, b), bound in zip(moved, bounds):
+        exact = obj.clearance_to_segment(a, b)
+        assert exact > tol
+        assert bound <= exact + 1e-9
