@@ -27,7 +27,7 @@ from . import linkage
 from . import transmission as tm
 from .config import GripperConfig, default_config
 from .errors import ClassificationError, GripsimError
-from .finger import Behavior, FingerParams, FingerState, Phalanx, PhalanxContact
+from .finger import Behavior, FingerParams, FingerPose, FingerState, Phalanx, PhalanxContact
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
 from .transmission import LockStage, RackSegment, Route, TransmissionState
@@ -41,6 +41,9 @@ _BOUND_MARGIN = 1e-9
 # side (0 left, 1 right) of each physical finger; the two right fingers share a state
 SIDES = (0, 1, 1)
 
+# iterating a tuple is an order of magnitude cheaper than iterating the enum
+_PHALANGES = tuple(Phalanx)
+
 Segments = tuple[tuple[Point, Point], ...]   # one finger's, in ``Phalanx`` order
 
 
@@ -48,9 +51,6 @@ Segments = tuple[tuple[Point, Point], ...]   # one finger's, in ``Phalanx`` orde
 class Mount:
     center: float   # MCP pivot x position (mm)
     x_dir: float    # +1 when the finger closes toward +x
-
-    def to_world(self, p: Point) -> Point:
-        return Point(self.center + self.x_dir * p.x, p.y)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def contact_detect(assembly: GripperAssembly,
     tol = assembly.config.contact_tol
     out: list[tuple[int, PhalanxContact]] = []
     for i in range(len(SIDES)):
-        for ph, (a, b) in zip(Phalanx, assembly.world_segments(i)):
+        for ph, (a, b) in zip(_PHALANGES, assembly.world_segments(i)):
             clear = obj.clearance_to_segment(a, b)
             if clear <= tol:
                 out.append((i, PhalanxContact(phalanx=ph, point=_closest_point(obj, a, b),
@@ -133,22 +133,44 @@ def _closest_point(obj: SceneObject, a: Point, b: Point) -> Point:
     return best
 
 
-def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> Segments:
-    """Pose one finger state and carry its segments into the world frame."""
-    return tuple((mount.to_world(a), mount.to_world(b))
-                 for a, b in fg.phalanx_poses(params, state).segments())
+def _world_segments(params: FingerParams, state: FingerState, mount: Mount,
+                    memo: _LastExact | None = None) -> Segments:
+    """Pose one finger state and carry its segments into the world frame.
+
+    With ``memo``, the finger-frame pose of the state it last posed is reused.
+    """
+    if memo is not None and memo.posed is state:
+        pose = memo.pose
+    else:
+        pose = fg.phalanx_poses(params, state)
+        if memo is not None:
+            memo.posed, memo.pose = state, pose
+    c, d = mount.center, mount.x_dir
+    o1, o2, o3, tip = [Point(c + d * p.x, p.y) for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
+    return ((o1, o2), (o2, o3), (o3, tip))
 
 
 @dataclass
 class _LastExact:
-    """One side's world segments and clearances at its last exact evaluation.
+    """One side's world segments and clearances at its last exact evaluation,
+    and the finger-frame pose of the last state it posed.
 
     A phalanx that was in contact then holds ``-inf``, so once released it is
     always computed afresh.
+
+    ``posed`` and ``pose`` let ``_world_segments`` skip re-posing a state that
+    has not changed, as during base translation, when only the mounts move.
+    The state is matched by identity, not equality: ``is`` costs nothing,
+    the stored reference keeps the object alive so no other state can take
+    its place, and a state that is merely equal may still pose to other bits
+    (``-0.0 == 0.0``), so it is posed again.  The pose depends on the finger
+    parameters too, so one record serves one run, hence one config.
     """
 
     segments: Segments = ()
     clearances: tuple[float, ...] = ()
+    posed: FingerState | None = None
+    pose: FingerPose | None = None
 
     def bounds(self, segments: Segments, fixed: frozenset[Phalanx],
                floor: float) -> tuple[float, ...] | None:
@@ -164,7 +186,8 @@ class _LastExact:
         if not self.segments:
             return None
         out = []
-        for ph, (a, b), (ra, rb), c in zip(Phalanx, segments, self.segments, self.clearances):
+        for ph, (a, b), (ra, rb), c in zip(_PHALANGES, segments, self.segments,
+                                           self.clearances):
             if fixed and ph in fixed:
                 out.append(math.inf)
                 continue
@@ -187,16 +210,16 @@ def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
     ``contact_tol``, which a bound answers as the exact value would.
     """
     if obj is None:
-        return (math.inf,) * len(Phalanx)
-    segments = _world_segments(cfg.finger_params(), state, mount)
+        return (math.inf,) * len(_PHALANGES)
+    segments = _world_segments(cfg.finger_params(), state, mount, last)
     fixed = state.contact_fixed
     bounds = last.bounds(segments, fixed, cfg.contact_tol + _BOUND_MARGIN)
     if bounds is not None:
         return bounds
     clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
-                  for ph, (a, b) in zip(Phalanx, segments))
+                  for ph, (a, b) in zip(_PHALANGES, segments))
     last.segments = segments
-    last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(Phalanx, clear))
+    last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(_PHALANGES, clear))
     return clear
 
 
@@ -280,18 +303,18 @@ def _register_contacts(cfg: GripperConfig, state: FingerState,
                        clear: tuple[float, ...]) -> FingerState:
     """Fix each phalanx whose clearance (from ``_clearances`` of ``state``) is within tolerance."""
     params = cfg.finger_params()
-    for ph, c in zip(Phalanx, clear):
+    for ph, c in zip(_PHALANGES, clear):
         if c <= cfg.contact_tol:
             state = fg.apply_contact(params, state, ph, max(0.0, -c))
     return state
 
 
 def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
-                      obj: SceneObject | None) -> FingerState:
+                      obj: SceneObject | None, last: _LastExact) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    segments = _world_segments(cfg.finger_params(), state, mount)
-    keep = {ph for ph, (a, b) in zip(Phalanx, segments)
+    segments = _world_segments(cfg.finger_params(), state, mount, last)
+    keep = {ph for ph, (a, b) in zip(_PHALANGES, segments)
             if ph in state.contact_fixed
             and obj.clearance_to_segment(a, b) <= 5.0 * cfg.contact_tol}
     if keep == state.contact_fixed:
@@ -359,16 +382,16 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             if route2 is not Route.BASE:
                 run.stalled = True
                 return False
-        asm2 = replace(asm, transmission=trans_new)
-        mounts = asm2.mounts()
-        fingers = list(asm2.fingers)
+        mounts = _mounts(cfg, trans_new.base_translation)
+        fingers = list(asm.fingers)
         for i in (0, 1):
             if direction < 0:
                 clear = _clearances(cfg, fingers[i], mounts[i], run.obj, run.last_exact[i])
                 fingers[i] = _register_contacts(cfg, fingers[i], clear)
             else:
-                fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj)
-        run.assembly = replace(asm2, fingers=tuple(fingers))
+                fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj,
+                                               run.last_exact[i])
+        run.assembly = GripperAssembly(cfg, tuple(fingers), trans_new)
         _note_first_contact(run)
         if stop_on_engage and trans_new.lock.stage is LockStage.ENGAGED:
             run.events.append("lock engaged")
@@ -391,7 +414,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
                                 joint_delta, surface)
         else:
             nxt = _open_finger(cfg, before, joint_delta, surface)
-            nxt = _release_contacts(cfg, nxt, mounts[i], run.obj)
+            nxt = _release_contacts(cfg, nxt, mounts[i], run.obj, run.last_exact[i])
         if nxt != before:
             moved_any = True
         elif direction < 0:
@@ -410,7 +433,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         run.events.append("stall: spring load at the torque bound")
         return False
 
-    asm2 = replace(asm, fingers=tuple(fingers), transmission=trans_new)
+    asm2 = GripperAssembly(cfg, tuple(fingers), trans_new)
 
     # Parallel closing bottoms out when the opposed tips meet; once a finger
     # wraps, the crosswise arrangement lets the fingers interleave instead.
@@ -423,7 +446,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             for i in (0, 1):
                 fingers[i] = _close_finger(cfg, asm.fingers[i], mounts[i], run.obj,
                                            run.last_exact[i], joint_delta * gap_frac, surface)
-            asm2 = replace(asm, fingers=tuple(fingers), transmission=trans_new)
+            asm2 = GripperAssembly(cfg, tuple(fingers), trans_new)
             run.assembly = asm2
             _note_first_contact(run)
             run.events.append("fingertips met")

@@ -85,10 +85,6 @@ class FingerPose:
     o3: Point
     tip: Point
 
-    def segments(self) -> tuple[tuple[Point, Point], ...]:
-        """Proximal, middle and distal segments, in ``Phalanx`` order."""
-        return ((self.o1, self.o2), (self.o2, self.o3), (self.o3, self.tip))
-
 
 @dataclass(frozen=True)
 class FingerState:

@@ -103,6 +103,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     gripper: dict = {}
     objekt: dict = {}
     commands: list[tuple[str, int | str]] = []
+    object_at: tuple[int, int] | None = None   # the first [object] header
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -118,6 +119,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if section not in ("gripper", "object", "commands"):
                 diagnostics.append((lineno, col, f"unknown section [{section}]"))
                 section = None
+            elif section == "object" and object_at is None:
+                object_at = (lineno, col)
             continue
         if "=" not in stripped:
             diagnostics.append((lineno, col, "expected `key = value`"))
@@ -137,7 +140,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             _parse_command(key, value, lineno, col, vcol, commands, diagnostics)
 
     if not diagnostics and objekt:
-        _check_object(objekt, diagnostics)
+        _check_object(objekt, object_at, diagnostics)
 
     if diagnostics:
         raise ScenarioError(diagnostics)
@@ -217,16 +220,17 @@ def _parse_command(key, value, lineno, col, vcol, out, diagnostics) -> None:
     out.append((key, steps))
 
 
-def _check_object(obj: dict, diagnostics: list) -> None:
+def _check_object(obj: dict, at: tuple[int, int], diagnostics: list) -> None:
+    """Report a missing ``shape`` or required key at the ``[object]`` header ``at``."""
     shape = obj.get("shape")
     if shape is None:
-        diagnostics.append((0, 0, "[object] section needs a `shape` key"))
+        diagnostics.append((*at, "[object] section needs a `shape` key"))
         return
     required = {"circle": ["diameter"], "rectangle": ["width", "height"],
                 "slab": ["width", "surface_y"]}[shape]
     for k in required:
         if k not in obj:
-            diagnostics.append((0, 0, f"{shape} object needs `{k}`"))
+            diagnostics.append((*at, f"{shape} object needs `{k}`"))
 
 
 def serialize_scenario(scn: Scenario) -> str:

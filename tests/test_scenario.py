@@ -95,6 +95,16 @@ def test_missing_required_object_fields_are_reported():
     assert any("width" in m for m in msgs) and any("surface_y" in m for m in msgs)
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("# no shape\n\n  [object]\ndiameter = 30\n", "[object] section needs a `shape` key"),
+    ("# no diameter\n\n  [object]\nshape = circle\nx = 5\n", "circle object needs `diameter`"),
+])
+def test_an_incomplete_object_is_reported_at_its_header(text, msg):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == [(3, 3, msg)]
+
+
 def test_all_shipped_fixtures_parse(scenario_dir):
     files = sorted(scenario_dir.glob("*.scn"))
     assert len(files) >= 13
