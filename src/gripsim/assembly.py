@@ -286,15 +286,12 @@ def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
     clear = _clearances(cfg, full, mount, obj, last)
     if min(clear) >= 0.0:
         return _register_contacts(cfg, full, clear)
-    lo, hi = 0.0, 1.0
-    tol = cfg.contact_tol
-    for _ in range(_BISECT_ITERS):
-        mid = (lo + hi) / 2.0
-        cand = _advance_finger(cfg, state, joint_delta * mid, surface)
-        if min(_clearances(cfg, cand, mount, obj, last)) < tol / 2.0:
-            hi = mid
-        else:
-            lo = mid
+
+    def clear_at(t: float) -> float:
+        cand = _advance_finger(cfg, state, joint_delta * t, surface)
+        return min(_clearances(cfg, cand, mount, obj, last))
+
+    lo = _last_clear_fraction(cfg, clear_at)
     nxt = _advance_finger(cfg, state, joint_delta * lo, surface)
     return _register_contacts(cfg, nxt, _clearances(cfg, nxt, mount, obj, last))
 
@@ -481,6 +478,12 @@ def _base_fraction(cfg: GripperConfig, run: _Run, shift: float) -> float:
 
     if clear_at(1.0) >= 0.0:
         return 1.0
+    return _last_clear_fraction(cfg, clear_at)
+
+
+def _last_clear_fraction(cfg: GripperConfig, clear_at) -> float:
+    """Bisect a step whose full length touches for the largest share of it,
+    to within 2**-_BISECT_ITERS, that keeps the clearance at contact_tol / 2."""
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
@@ -728,7 +731,7 @@ def aperture_range(assembly: GripperAssembly, mode: int) -> tuple[float, float] 
     if mode == 1:
         return sweep_theta(lay.theta1_rest, min(cfg.theta1_close_home, cfg.theta1_max), 0.0)
     if mode == 2:
-        lo_gap = max(lay.envelope_floor, cfg.aperture_at(lay.theta1_fold, 0.0))
+        lo_gap = max(cfg.envelope_floor, cfg.aperture_at(lay.theta1_fold, 0.0))
         hi_gap = cfg.aperture_at(lay.theta1_rest, 0.0)
         if lo_gap > hi_gap:
             return None

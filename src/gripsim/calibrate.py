@@ -33,8 +33,6 @@ class PalmLayout:
     theta1_down: float       # theta1 at which the proximal bar hangs vertical
     theta1_rest: float       # theta1 at full open
     theta1_fold: float       # enveloping feasibility limit
-    aperture_max: float      # fingertip gap at rest (parallel, home base)
-    envelope_floor: float    # smallest gap at which enveloping can initiate
 
 
 def solve_palm_layout(geom: LinkageGeometry, aperture_max: float,
@@ -56,8 +54,7 @@ def solve_palm_layout(geom: LinkageGeometry, aperture_max: float,
     if theta1_rest <= 0.0:
         raise ConfigError("rest_lean", "pushes the rest drive angle out of range")
     return PalmLayout(half_width=half_width, theta1_down=theta1_down,
-                      theta1_rest=theta1_rest, theta1_fold=fold,
-                      aperture_max=aperture_max, envelope_floor=envelope_floor)
+                      theta1_rest=theta1_rest, theta1_fold=fold)
 
 
 def _middle_lengths(geom: LinkageGeometry, deltas: np.ndarray) -> np.ndarray:

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from . import assembly as asm
-from . import calibrate
-from .config import build_config, default_config
+from .config import default_config
 from .errors import ConfigError, GripsimError, ScenarioError
 from .render import write_frames
 from .report import canonical_json, render_report

@@ -1,7 +1,9 @@
 """Gripper configuration: published constants, calibrated defaults, validation.
 
-A GripperConfig is a frozen value; building one resolves every calibration
-parameter so downstream modules never search at runtime.
+A GripperConfig is a frozen value that stores only inputs.  Every value
+derived from them (palm layout, rest angles, distal stop) is a property, so
+a replaced or scaled config never carries a stale copy; build_config
+resolves them up front to validate the inputs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ def _deg(x: float) -> float:
 @dataclass(frozen=True)
 class GripperConfig:
     geometry: LinkageGeometry
-    layout: PalmLayout
     springs: SpringBank = SpringBank()
+
+    # palm layout inputs
+    aperture_max: float = 127.0        # fingertip gap at rest (parallel, home base)
+    envelope_floor: float = 16.0       # smallest gap at which enveloping can initiate
+    rest_lean: float = _deg(25.0)      # outward lean of the proximal bar at rest
 
     # slider end stops (mm)
     L1_min: float = 46.0
@@ -53,11 +59,32 @@ class GripperConfig:
     contact_tol: float = 0.01
     trace_stride: int = 250
 
-    # derived at build time
-    alpha_rest: float = 0.0
-    theta2_rest: float = 0.0
-    delta_stop: float = 0.0
-    theta3_max: float = 0.0
+    # derived values; the cached ones are solved once per instance (equality and
+    # hashing see only the fields, and replace() makes a new, empty instance)
+    @cached_property
+    def layout(self) -> PalmLayout:
+        return calibrate.solve_palm_layout(self.geometry, self.aperture_max,
+                                           self.envelope_floor, self.rest_lean)
+
+    @cached_property
+    def alpha_rest(self) -> float:
+        alpha = linkage.anchor_alpha(self.geometry, self.layout.theta1_rest,
+                                     self.geometry.L1_rest)
+        if alpha is None:
+            raise ConfigError("rest_lean", "the four-bar cannot close at the rest drive angle")
+        return alpha
+
+    @property
+    def theta2_rest(self) -> float:
+        return self.geometry.beta - self.alpha_rest
+
+    @cached_property
+    def delta_stop(self) -> float:
+        return calibrate.middle_stop_angle(self.geometry, self.L2_min)
+
+    @property
+    def theta3_max(self) -> float:
+        return self.geometry.kappa - self.delta_stop
 
     @property
     def theta1_close_home(self) -> float:
@@ -76,7 +103,7 @@ class GripperConfig:
 
     @property
     def remote_floor(self) -> float:
-        return self.layout.envelope_floor + self.hollow_allowance
+        return self.envelope_floor + self.hollow_allowance
 
     def aperture_at(self, theta1: float, base_shift: float) -> float:
         """Parallel-mode fingertip gap for a drive angle and base shift."""
@@ -98,8 +125,6 @@ class GripperConfig:
     def transmission_params(self) -> TransmissionParams:
         return self._transmission_params
 
-    # built once per instance; never stale, since the config is frozen and
-    # replace() makes a new one (equality and hashing see only the fields)
     @cached_property
     def _finger_params(self) -> FingerParams:
         return FingerParams(
@@ -122,8 +147,7 @@ class GripperConfig:
     @cached_property
     def force_budget(self) -> float:
         """Force available at the crank: output torque over the crank arm (N)."""
-        return output_torque(self.motor_torque,
-                             self.transmission_params().train) * 1000.0 / self.geometry.D1
+        return output_torque(self.motor_torque) * 1000.0 / self.geometry.D1
 
     @cached_property
     def _transmission_params(self) -> TransmissionParams:
@@ -137,7 +161,7 @@ class GripperConfig:
         )
 
     def scaled(self, k: float) -> "GripperConfig":
-        """Similarity-scaled copy: every length-dimensioned value times k."""
+        """Similarity-scaled copy: every length-dimensioned input times k."""
         g = self.geometry
         geom = replace(
             g,
@@ -145,11 +169,11 @@ class GripperConfig:
             L2_rest=g.L2_rest * k, L2a=g.L2a * k, L2b=g.L2b * k, L2c=g.L2c * k,
             L3_rest=g.L3_rest * k, L3a=g.L3a * k, D1=g.D1 * k, D2=g.D2 * k,
         )
-        return build_config(
+        inputs = {f.name: getattr(self, f.name) for f in fields(self)}
+        inputs.update(
             geometry=geom,
-            aperture_max=self.layout.aperture_max * k,
-            envelope_floor=self.layout.envelope_floor * k,
-            rest_lean=self.layout.theta1_down - self.layout.theta1_rest,
+            aperture_max=self.aperture_max * k,
+            envelope_floor=self.envelope_floor * k,
             L1_min=self.L1_min * k, L2_min=self.L2_min * k, L3_min=self.L3_min * k,
             contact_rest=tuple(v * k for v in self.contact_rest),
             contact_min=tuple(v * k for v in self.contact_min),
@@ -158,39 +182,28 @@ class GripperConfig:
             slot_peak=self.slot_peak * k,
             hollow_allowance=self.hollow_allowance * k,
         )
+        return build_config(**inputs)
 
 
-@lru_cache(maxsize=8)
-def _default_middle_link(L2_rest: float, L2a: float, L2b: float,
-                         L2_min: float) -> tuple[float, float]:
-    probe = LinkageGeometry(
-        L1_rest=70.0, L1a=70.0, L1b=30.0, L1c=30.0,
-        L2_rest=L2_rest, L2a=L2a, L2b=L2b, L2c=1.0,
-        L3_rest=51.0, L3a=29.0, D1=85.0, D2=68.0,
-        beta=RIGHT_ANGLE, kappa=0.0,
-    )
-    return calibrate.solve_middle_link(probe, L2_min)
-
-
+@lru_cache(maxsize=1)
 def default_geometry() -> LinkageGeometry:
-    """Published link lengths plus calibrated L1c, L2c and kappa."""
-    L2c, kappa = _default_middle_link(55.0, 30.0, 76.0, 36.0)
-    return LinkageGeometry(
-        L1_rest=70.0, L1a=70.0, L1b=30.0,
-        L1c=30.0,                      # equal to L1b: collinear rest gives L1a - L1c + L1b
-        L2_rest=55.0, L2a=30.0, L2b=76.0, L2c=L2c,
+    """Published link lengths, L1c equal to L1b, and calibrated L2c and kappa.
+
+    L1c = L1b makes the collinear rest length L1a - L1c + L1b equal L1a.
+    """
+    published = LinkageGeometry(
+        L1_rest=70.0, L1a=70.0, L1b=30.0, L1c=30.0,
+        L2_rest=55.0, L2a=30.0, L2b=76.0, L2c=1.0,   # L2c and kappa: searched below
         L3_rest=51.0, L3a=29.0,
         D1=85.0, D2=68.0,
-        beta=RIGHT_ANGLE, kappa=kappa,
+        beta=RIGHT_ANGLE, kappa=0.0,
     )
+    L2c, kappa = calibrate.solve_middle_link(published, GripperConfig.L2_min)
+    return replace(published, L2c=L2c, kappa=kappa)
 
 
-def build_config(geometry: LinkageGeometry | None = None,
-                 aperture_max: float = 127.0,
-                 envelope_floor: float = 16.0,
-                 rest_lean: float = _deg(25.0),
-                 **overrides) -> GripperConfig:
-    """Assemble and validate a configuration, resolving calibration constants."""
+def build_config(geometry: LinkageGeometry | None = None, **overrides) -> GripperConfig:
+    """Assemble and validate a configuration from its inputs."""
     if geometry is None:
         geometry = default_geometry()
     else:
@@ -199,45 +212,28 @@ def build_config(geometry: LinkageGeometry | None = None,
         geometry = replace(geometry, kappa=kappa)
     geometry.validate()
 
-    layout = calibrate.solve_palm_layout(geometry, aperture_max, envelope_floor, rest_lean)
-
-    alpha_rest = linkage.anchor_alpha(geometry, layout.theta1_rest, geometry.L1_rest)
-    if alpha_rest is None:
-        raise ConfigError("rest_lean", "the four-bar cannot close at the rest drive angle")
-
-    cfg_fields = {f.name for f in fields(GripperConfig)}
-    unknown = set(overrides) - cfg_fields
+    unknown = set(overrides) - {f.name for f in fields(GripperConfig)}
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown configuration field")
 
-    cfg = GripperConfig(
-        geometry=geometry,
-        layout=layout,
-        alpha_rest=alpha_rest,
-        theta2_rest=geometry.beta - alpha_rest,
-        **overrides,
-    )
-    delta_stop = calibrate.middle_stop_angle(geometry, cfg.L2_min)
-    cfg = replace(cfg, delta_stop=delta_stop, theta3_max=geometry.kappa - delta_stop)
+    cfg = GripperConfig(geometry=geometry, **overrides)
     _validate(cfg)
     return cfg
 
 
-def default_config() -> GripperConfig:
-    return _cached_default()
-
-
 @lru_cache(maxsize=1)
-def _cached_default() -> GripperConfig:
+def default_config() -> GripperConfig:
     return build_config()
 
 
 def _validate(cfg: GripperConfig) -> None:
+    cfg.alpha_rest   # solving the layout rejects a palm the linkage cannot meet
     g = cfg.geometry
     if not 0.0 < cfg.L1_min < g.L1_rest:
         raise ConfigError("L1_min", "must lie inside (0, L1_rest)")
     if not 0.0 < cfg.L2_min < g.L2_rest:
         raise ConfigError("L2_min", "must lie inside (0, L2_rest)")
+    cfg.delta_stop   # bracketed only once L2_min lies inside (0, L2_rest)
     if not 0.0 < cfg.L3_min < g.L3_rest:
         raise ConfigError("L3_min", "must lie inside (0, L3_rest)")
     if cfg.base_shift_max > 0.0 and \

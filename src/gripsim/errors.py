@@ -35,10 +35,6 @@ class SurfaceTooHighError(GripsimError):
     """Keeping the fingertip on the surface would exceed the distal travel."""
 
 
-class OverSpeedError(GripsimError):
-    """Commanded motor speed exceeds the rated limit."""
-
-
 class RackTravelError(GripsimError):
     """Rack position outside the configured travel."""
 

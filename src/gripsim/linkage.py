@@ -33,9 +33,9 @@ DISC_CLAMP = 1e-9
 class LinkageGeometry:
     """Constant link lengths and fixed angles of one finger (mm / rad).
 
-    ``kappa`` (rest angle of the distal five-bar input) and ``L1c``/``L2c``
-    are not part of the published bill of materials; they are calibration
-    parameters with defaults resolved by :mod:`gripsim.calibrate`.
+    ``kappa`` (rest angle of the distal five-bar input), ``L1c`` and ``L2c``
+    are not part of the published bill of materials: ``L1c`` defaults to
+    ``L1b``, and ``L2c`` and ``kappa`` are resolved by :mod:`gripsim.calibrate`.
     ``D2`` appears in the bill of materials but no closure equation uses it.
     """
 

@@ -54,8 +54,8 @@ def config_fingerprint(cfg: GripperConfig) -> str:
             "half_width": cfg.layout.half_width,
             "theta1_down": cfg.layout.theta1_down,
             "theta1_rest": cfg.layout.theta1_rest,
-            "aperture_max": cfg.layout.aperture_max,
-            "envelope_floor": cfg.layout.envelope_floor,
+            "aperture_max": cfg.aperture_max,
+            "envelope_floor": cfg.envelope_floor,
         },
         "stops": [cfg.L1_min, cfg.L2_min, cfg.L3_min],
         "base": [cfg.base_shift_max, cfg.slot_entry, cfg.slot_peak,

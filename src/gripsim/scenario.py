@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 from .assembly import Command, Verb
-from .config import GripperConfig, build_config, default_config
+from .config import GripperConfig, build_config, default_config, default_geometry
 from .errors import ScenarioError
 from .scene import SceneObject
 
@@ -48,27 +48,13 @@ class Scenario:
         overrides = dict(self.gripper)
         scale = overrides.pop("scale", None)
         overrides.pop("base_translation", None)
-        kwargs = {}
-        for deg_key, rad_key in (("rest_lean_deg", "rest_lean"),):
+        for deg_key in ("rest_lean_deg", "motor_step_deg", "theta1_travel_deg"):
             if deg_key in overrides:
-                kwargs[rad_key] = math.radians(overrides.pop(deg_key))
-        for deg_key, rad_key in (("motor_step_deg", "motor_step"),
-                                 ("theta1_travel_deg", "theta1_travel")):
-            if deg_key in overrides:
-                overrides[rad_key] = math.radians(overrides.pop(deg_key))
-        for top in ("aperture_max", "envelope_floor"):
-            if top in overrides:
-                kwargs[top] = overrides.pop(top)
-        geom_over = {k: v for k, v in overrides.items() if k in _GEOMETRY_KEYS}
-        for k in geom_over:
-            overrides.pop(k)
+                overrides[deg_key.removesuffix("_deg")] = math.radians(overrides.pop(deg_key))
+        geom_over = {k: overrides.pop(k) for k in _GEOMETRY_KEYS & overrides.keys()}
         if geom_over:
-            from .config import default_geometry
-            kwargs["geometry"] = dc_replace(default_geometry(), **geom_over)
-        if not kwargs and not overrides:
-            cfg = default_config()
-        else:
-            cfg = build_config(**kwargs, **overrides)
+            overrides["geometry"] = dc_replace(default_geometry(), **geom_over)
+        cfg = build_config(**overrides) if overrides else default_config()
         if scale is not None and scale != 1.0:
             cfg = cfg.scaled(scale)
         return cfg

@@ -14,11 +14,11 @@ start of the remote-drive segment (the gear shifts tracks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import OverSpeedError, RackTravelError
+from .errors import RackTravelError
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class GearTrain:
     worm_ratio: int = 15
     small_gear_teeth: int = 15
     large_gear_teeth: int = 30
-    max_motor_rpm: float = 120.0
 
     @property
     def reduction(self) -> Fraction:
@@ -36,26 +35,11 @@ class GearTrain:
                                                     self.small_gear_teeth)
 
 
-def gear_outputs(motor_speed: float,
-                 train: GearTrain = GearTrain()) -> tuple[float, float, float]:
-    """Signed output speeds (rpm) of the three final gears for a motor speed.
-
-    Two gears turn with the motor's sense, the third against it, all at equal
-    magnitude, so opposed fingers flex toward each other at the same rate.
-    """
-    if abs(motor_speed) > train.max_motor_rpm:
-        raise OverSpeedError(
-            f"motor speed {motor_speed:g} rpm exceeds the {train.max_motor_rpm:g} rpm limit"
-        )
-    magnitude = motor_speed / float(train.reduction)
-    return (magnitude, -magnitude, magnitude)
-
-
-def output_torque(motor_torque: float, train: GearTrain = GearTrain()) -> float:
+def output_torque(motor_torque: float) -> float:
     """Loss-free output torque (N*m)."""
     if motor_torque < 0.0:
         raise ValueError("motor torque must be non-negative")
-    return float(train.reduction) * motor_torque
+    return float(GearTrain().reduction) * motor_torque
 
 
 class RackSegment(Enum):
@@ -78,12 +62,9 @@ class LockStage(Enum):
 class SlotGeometry:
     """Lock slot landmarks along the base-shift axis (total aperture-shift mm)."""
 
-    entry: float = 48.5
-    peak: float = 49.5    # red position; crossing it forward engages the lock
-    end: float = 50.0     # lower-groove far end (base travel maximum)
-
-
-DEFAULT_SLOT = SlotGeometry()
+    entry: float
+    peak: float    # red position; crossing it forward engages the lock
+    end: float     # lower-groove far end (base travel maximum)
 
 
 @dataclass(frozen=True)
@@ -92,8 +73,7 @@ class LockState:
     travel: float = 0.0   # block position = base shift (mm)
 
 
-def lock_step(lock: LockState, base_motion_delta: float,
-              slot: SlotGeometry = DEFAULT_SLOT) -> LockState:
+def lock_step(lock: LockState, base_motion_delta: float, slot: SlotGeometry) -> LockState:
     """Advance the lock automaton by a signed base motion.
 
     Total: every (stage, direction) pair transitions somewhere.  A reverse
@@ -185,7 +165,6 @@ class TransmissionParams:
     drive_gear_radius: float
     reduction: float
     slot: SlotGeometry
-    train: GearTrain = GearTrain()
 
     @property
     def layout(self) -> RackLayout:
@@ -225,13 +204,7 @@ def initial_transmission(params: TransmissionParams,
         stage = LockStage.UPPER_GROOVE
     else:
         stage = LockStage.NEUTRAL
-    lock = LockState(stage=stage, travel=t)
-    pos = _rack_position(params, params.theta1_rest, lock)
-    return TransmissionState(
-        rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
-        lock=lock,
-        D1_angle=params.theta1_rest,
-    )
+    return _moved(params, params.theta1_rest, LockState(stage=stage, travel=t))
 
 
 def _rack_position(params: TransmissionParams, d1_angle: float,
@@ -266,44 +239,35 @@ def step_transmission(params: TransmissionParams, state: TransmissionState,
     if motor_delta > 0.0:
         if d1 > params.theta1_rest + 1e-15:
             d1_new = max(params.theta1_rest, d1 - joint_delta)
-            return _with_drive(params, state, d1_new), Route.DRIVE
+            return _moved(params, d1_new, lock), Route.DRIVE
         if lock.travel < params.slot.end - 1e-15:
             lock_new = lock_step(lock, shift_delta, params.slot)
-            return _with_base(params, state, lock_new), Route.BASE
+            return _moved(params, d1, lock_new), Route.BASE
         return state, Route.STALL
 
     # closing
     if lock.stage is LockStage.ENGAGED:
         if d1 < params.theta1_max - 1e-15:
             d1_new = min(params.theta1_max, d1 - joint_delta)
-            return _with_drive(params, state, d1_new), Route.DRIVE
+            return _moved(params, d1_new, lock), Route.DRIVE
         return state, Route.STALL
     if lock.travel > 1e-15:
         lock_new = lock_step(lock, shift_delta, params.slot)
         if lock_new.travel != lock.travel:
-            return _with_base(params, state, lock_new), Route.BASE
+            return _moved(params, d1, lock_new), Route.BASE
         return state, Route.STALL
     if d1 < params.theta1_max - 1e-15:
         d1_new = min(params.theta1_max, d1 - joint_delta)
-        return _with_drive(params, state, d1_new), Route.DRIVE
+        return _moved(params, d1_new, lock), Route.DRIVE
     return state, Route.STALL
 
 
-def _with_drive(params: TransmissionParams, state: TransmissionState,
-                d1_new: float) -> TransmissionState:
-    pos = _rack_position(params, d1_new, state.lock)
-    return replace(
-        state,
-        D1_angle=d1_new,
+def _moved(params: TransmissionParams, d1_angle: float,
+           lock: LockState) -> TransmissionState:
+    """The state at a drive angle and lock position, with its rack mesh point."""
+    pos = _rack_position(params, d1_angle, lock)
+    return TransmissionState(
         rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
-    )
-
-
-def _with_base(params: TransmissionParams, state: TransmissionState,
-               lock_new: LockState) -> TransmissionState:
-    pos = _rack_position(params, state.D1_angle, lock_new)
-    return replace(
-        state,
-        lock=lock_new,
-        rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
+        lock=lock,
+        D1_angle=d1_angle,
     )

@@ -264,6 +264,7 @@ def test_enveloping_during_translation_is_a_classification_error(cfg):
 
 def test_config_errors_name_the_offending_field():
     from gripsim.errors import ConfigError
-    with pytest.raises(ConfigError) as err:
-        build_config(L1_min=90.0)
-    assert err.value.field == "L1_min"
+    for field, value in (("L1_min", 90.0), ("L2_min", 60.0)):
+        with pytest.raises(ConfigError) as err:
+            build_config(**{field: value})
+        assert err.value.field == field

@@ -1,18 +1,19 @@
 """Per-instance cached geometry and parameters must never go stale.
 
-``SceneObject`` caches its outline, ``GripperConfig`` its resolved
-parameter sets and ``GripperAssembly`` its posed world segments in the
-instance ``__dict__``; all three are frozen dataclasses, so a changed value
-is always a new instance with an empty cache.
+``SceneObject`` caches its outline, ``GripperConfig`` its derived values and
+resolved parameter sets, and ``GripperAssembly`` its posed world segments in
+the instance ``__dict__``; all three are frozen dataclasses, so a changed
+value is always a new instance with an empty cache.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from gripsim import finger as fg
 from gripsim.assembly import GripperAssembly, build_gripper, close_until_stable
-from gripsim.config import build_config
+from gripsim.config import GripperConfig, build_config
+from gripsim.errors import ConfigError
 from gripsim.geometry import Point
 from gripsim.render import frame_svg
 from gripsim.scene import SceneObject
@@ -50,6 +51,34 @@ def test_replaced_config_resolves_its_own_params(cfg):
     weak = replace(cfg, motor_torque=3.3)
     assert weak.force_budget == pytest.approx(cfg.force_budget / 2.0)
     assert cfg.force_budget == 30 * 6.6 * 1000.0 / cfg.geometry.D1
+
+
+DERIVED = ("layout", "alpha_rest", "theta2_rest", "delta_stop", "theta3_max")
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_values_are_not_settable_inputs(name):
+    assert name not in {f.name for f in fields(GripperConfig)}
+    with pytest.raises(ConfigError) as err:
+        build_config(**{name: 0.3})
+    assert err.value.field == name
+
+
+def test_replaced_config_derives_from_its_own_inputs(cfg):
+    changed = replace(cfg, L2_min=30.0)
+    built = build_config(L2_min=30.0)
+    assert changed.theta3_max == built.theta3_max != cfg.theta3_max
+    assert changed.finger_params().theta3_max == built.theta3_max
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_resolved_constants_keep_their_bits(cfg, k):
+    c = cfg if k == 1.0 else cfg.scaled(k)
+    assert c.geometry.L2c == k * float.fromhex("0x1.de66666666652p+4")
+    assert c.geometry.kappa.hex() == "0x1.a054fb81ae6cdp-1"
+    assert c.layout.theta1_rest.hex() == "0x1.1fa2cb5a699a4p-4"
+    assert c.alpha_rest.hex() == "0x1.dfb3578b1f520p-4"
+    assert c.theta3_max.hex() == "0x1.37ffa19a7225fp+0"
 
 
 def test_filled_caches_leave_equality_and_hash_alone():

@@ -94,7 +94,27 @@ def test_modes_lists_the_five_definitions(capsys):
         assert f"Mode {n}" in out
 
 
+CALIBRATED = """resolved constants:
+  L1c            = 30.000000 mm
+  L2c            = 29.900000 mm
+  kappa          = 46.589969 deg
+  palm half width= 33.916722 mm
+  theta1 rest    = 4.023517 deg
+  theta1 vertical= 29.023517 deg
+  envelope fold  = 50.753867 deg
+  alpha at rest  = 6.710160 deg
+  distal stop    = 69.828909 deg of wrap
+  bar end stops  = (46.0, 36.0, 36.0) mm
+"""
+
+
 def test_calibrate_prints_resolved_constants(capsys):
     assert main(["calibrate"]) == 0
-    out = capsys.readouterr().out
-    assert "L2c" in out and "kappa" in out and "palm half width" in out
+    assert capsys.readouterr().out == CALIBRATED
+
+
+def test_calibrate_resolves_the_overridden_stop(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "cfg.scn", "[gripper]\nL2_min = 30\n")
+    assert main(["calibrate", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == (
+        CALIBRATED.replace("69.828909", "87.188837").replace("(46.0, 36.0", "(46.0, 30.0"))

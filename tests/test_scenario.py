@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gripsim.errors import ScenarioError
@@ -36,6 +38,17 @@ def test_non_finite_numbers_and_non_positive_tolerance_are_rejected(text, line, 
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert err.value.diagnostics == [(line, col, msg)]
+
+
+def test_scale_keeps_every_other_key():
+    scn = parse_scenario("[gripper]\nscale = 1.5\nmotor_step_deg = 4\ntrace_stride = 5\n"
+                         "contact_tol = 0.05\ntheta1_travel_deg = 100\n")
+    cfg = scn.build_config()
+    assert cfg.geometry.L1_rest == 1.5 * 70.0
+    assert cfg.motor_step == math.radians(4.0)
+    assert cfg.trace_stride == 5
+    assert cfg.contact_tol == 0.05
+    assert cfg.theta1_travel == math.radians(100.0)
 
 
 def test_unknown_key_is_rejected_with_location():

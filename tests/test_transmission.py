@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gripsim import transmission as tm
-from gripsim.errors import OverSpeedError, RackTravelError
+from gripsim.errors import RackTravelError
 from gripsim.transmission import (
     GearTrain,
     LockStage,
@@ -11,7 +11,6 @@ from gripsim.transmission import (
     RackSegment,
     Route,
     SlotGeometry,
-    gear_outputs,
     lock_step,
     output_torque,
     rack_segment,
@@ -19,26 +18,8 @@ from gripsim.transmission import (
 )
 
 
-def test_gear_outputs_at_rated_speed():
-    assert gear_outputs(120.0) == (4.0, -4.0, 4.0)
-    assert gear_outputs(0.0) == (0.0, 0.0, 0.0)
-    assert gear_outputs(-60.0) == (-2.0, 2.0, -2.0)
-
-
-def test_gear_speed_magnitudes_are_exactly_equal():
-    for rpm in (120.0, -37.5, 11.1, 0.3):
-        w1, w2, w3 = gear_outputs(rpm)
-        assert abs(w1) == abs(w2) == abs(w3)
-    assert GearTrain().reduction == Fraction(30)
-
-
-def test_overspeed_error_names_the_limit():
-    with pytest.raises(OverSpeedError) as err:
-        gear_outputs(121.0)
-    assert "120" in str(err.value)
-
-
 def test_output_torque_is_thirty_fold():
+    assert GearTrain().reduction == Fraction(30)
     assert output_torque(6.6) == pytest.approx(198.0)
     assert output_torque(0.0) == 0.0
     assert output_torque(1.0) == pytest.approx(30.0)
