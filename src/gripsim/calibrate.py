@@ -1,24 +1,19 @@
 """Resolution of the constants the bill of materials does not pin down.
 
-Three things are searched for:
-
-* ``L2c`` — chosen so the middle linkage's geometric minimum length sits just
-  below the 36 mm slider end stop (the stop must be reachable with margin).
-* ``kappa`` — the rest five-bar input angle, root of L2(kappa) = L2_rest.
+* ``L2c`` puts the middle linkage's geometric minimum length just below the
+  36 mm slider end stop.  It was searched once on a grid; ``config`` pins the
+  result as a float literal, and a test re-runs the search against it.
+* ``kappa`` (the rest five-bar input angle, root of L2(kappa) = L2_rest) and
+  the distal stop are solved at configuration build by :func:`brentq`.
 * palm layout ``(h, theta1_down, theta1_rest)`` — closed form from the
   parallel-mode aperture maximum, the enveloping floor, and the rest lean.
-
-The defaults produced here are deterministic: the same geometry always
-resolves to the same constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
-from scipy.optimize import brentq
+from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linkage
 from .errors import ConfigError
@@ -57,25 +52,76 @@ def solve_palm_layout(geom: LinkageGeometry, aperture_max: float,
                       theta1_rest=theta1_rest, theta1_fold=fold)
 
 
-def _middle_lengths(geom: LinkageGeometry, deltas: np.ndarray) -> np.ndarray:
-    """Upper-root middle lengths over an array of five-bar angles (NaN where open)."""
-    b = 2.0 * geom.L2c * np.cos(deltas) - 2.0 * geom.L2a * math.cos(geom.beta)
-    c = (geom.L2a ** 2 + geom.L2c ** 2
-         - 2.0 * geom.L2a * geom.L2c * np.cos(deltas - geom.beta) - geom.L2b ** 2)
-    disc = b * b - 4.0 * c
-    out = np.full_like(deltas, np.nan)
-    ok = disc >= 0.0
-    out[ok] = (-b[ok] + np.sqrt(disc[ok])) / 2.0
-    return out
+def brentq(f, xa: float, xb: float, xtol: float = 1e-13, rtol: float = 8.9e-16,
+           maxiter: int = 100) -> float:
+    """Root of ``f`` on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Ported operation for operation from scipy's C ``brentq``, so the bits
+    match; it raises ValueError and RuntimeError where scipy does.
+    """
+    def call(x: float) -> float:
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant interpolation
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:              # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
-    """(minimum middle length, argmin delta) over the physically open range."""
-    deltas = np.linspace(-math.pi / 2.0, max(geom.kappa, 0.1), 4001)
-    lengths = _middle_lengths(geom, deltas)
-    i = int(np.nanargmin(lengths))
-    a = float(deltas[max(0, i - 1)])
-    b = float(deltas[min(len(deltas) - 1, i + 1)])
+    """(minimum middle length, argmin delta) over the physically open range.
+
+    The first least length on ``np.linspace``'s 4001-point grid brackets a
+    golden-section search; angles where the linkage cannot close are skipped.
+    """
+    lo, hi = -math.pi / 2.0, max(geom.kappa, 0.1)
+    step = (hi - lo) / 4000
+    grid = [k * step + lo for k in range(4000)] + [hi]
+    L2a, L2b, L2c, beta = geom.L2a, geom.L2b, geom.L2c, geom.beta
+    best, i = math.inf, 0
+    for k, delta in enumerate(grid):
+        b = 2.0 * L2c * math.cos(delta) - 2.0 * L2a * math.cos(beta)
+        c = L2a ** 2 + L2c ** 2 - 2.0 * L2a * L2c * math.cos(delta - beta) - L2b ** 2
+        disc = b * b - 4.0 * c
+        length = (-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf
+        if length < best:
+            best, i = length, k
+    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -98,37 +144,15 @@ def solve_kappa(geom: LinkageGeometry) -> float:
     lo, hi = 0.0, math.pi / 2.0
     if f(lo) * f(hi) > 0.0:
         raise ConfigError("L2c", "no rest angle reproduces the middle rest length")
-    return float(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    return brentq(f, lo, hi)
 
 
-def solve_middle_link(geom: LinkageGeometry, L2_min: float,
-                      margin: float = 1.0) -> tuple[float, float]:
-    """1-D search for L2c: deepest reachable length ~= L2_min - margin.
-
-    Returns (L2c, kappa).  The margin keeps the end stop clear of the root
-    fold so the branch selector never operates on merged roots.
-    """
-    target = L2_min - margin
-    scan = np.linspace(-math.pi / 2.0, math.pi / 2.0, 2001)
-    best: tuple[float, float, float] | None = None
-    for L2c in np.arange(0.3 * L2_min, 1.3 * L2_min + 1e-9, 0.1):
-        g = replace(geom, L2c=float(L2c), kappa=0.0)
-        try:
-            kappa = solve_kappa(g)
-        except ConfigError:
-            continue
-        g = replace(g, kappa=kappa)
-        lo = float(np.nanmin(_middle_lengths(g, scan)))
-        err = abs(lo - target)
-        if best is None or err < best[0]:
-            best = (err, float(L2c), kappa)
-    if best is None:
-        raise ConfigError("L2c", "no candidate closes the middle linkage at rest")
-    return best[1], best[2]
-
-
+@lru_cache(maxsize=256)
 def middle_stop_angle(geom: LinkageGeometry, L2_min: float) -> float:
-    """Five-bar input angle at which the middle bar reaches its end stop."""
+    """Five-bar input angle at which the middle bar reaches its end stop.
+
+    Memoised, so configurations that share a geometry and stop share a scan.
+    """
     lo_len, arg = _middle_min(geom)
     if lo_len > L2_min:
         # stop not reachable; the geometric minimum is the travel limit
@@ -137,4 +161,4 @@ def middle_stop_angle(geom: LinkageGeometry, L2_min: float) -> float:
     def f(delta: float) -> float:
         return linkage.middle_length(geom, delta) - L2_min
 
-    return float(brentq(f, arg, geom.kappa, xtol=1e-13, rtol=8.9e-16))
+    return brentq(f, arg, geom.kappa)

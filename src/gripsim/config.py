@@ -3,7 +3,8 @@
 A GripperConfig is a frozen value that stores only inputs.  Every value
 derived from them (palm layout, rest angles, distal stop) is a property, so
 a replaced or scaled config never carries a stale copy; build_config
-resolves them up front to validate the inputs.
+resolves them up front to validate the inputs.  The default geometry pins
+the calibrated ``L2c`` as a literal and solves ``kappa`` from it.
 """
 
 from __future__ import annotations
@@ -187,19 +188,19 @@ class GripperConfig:
 
 @lru_cache(maxsize=1)
 def default_geometry() -> LinkageGeometry:
-    """Published link lengths, L1c equal to L1b, and calibrated L2c and kappa.
+    """Published link lengths, L1c equal to L1b, the pinned L2c, and kappa.
 
     L1c = L1b makes the collinear rest length L1a - L1c + L1b equal L1a.
+    L2c is the result of the one-off search in :mod:`gripsim.calibrate`.
     """
     published = LinkageGeometry(
         L1_rest=70.0, L1a=70.0, L1b=30.0, L1c=30.0,
-        L2_rest=55.0, L2a=30.0, L2b=76.0, L2c=1.0,   # L2c and kappa: searched below
+        L2_rest=55.0, L2a=30.0, L2b=76.0, L2c=float.fromhex("0x1.de66666666652p+4"),
         L3_rest=51.0, L3a=29.0,
         D1=85.0, D2=68.0,
-        beta=RIGHT_ANGLE, kappa=0.0,
+        beta=RIGHT_ANGLE, kappa=0.0,   # kappa: solved below
     )
-    L2c, kappa = calibrate.solve_middle_link(published, GripperConfig.L2_min)
-    return replace(published, L2c=L2c, kappa=kappa)
+    return replace(published, kappa=calibrate.solve_kappa(published))
 
 
 def build_config(geometry: LinkageGeometry | None = None, **overrides) -> GripperConfig:
@@ -236,6 +237,8 @@ def _validate(cfg: GripperConfig) -> None:
     cfg.delta_stop   # bracketed only once L2_min lies inside (0, L2_rest)
     if not 0.0 < cfg.L3_min < g.L3_rest:
         raise ConfigError("L3_min", "must lie inside (0, L3_rest)")
+    if not cfg.theta1_travel > 0.0:
+        raise ConfigError("theta1_travel", "drive travel must be positive")
     if cfg.base_shift_max > 0.0 and \
             not 0.0 < cfg.slot_entry < cfg.slot_peak <= cfg.base_shift_max:
         raise ConfigError("slot_peak", "lock slot must be ordered inside the base travel")

@@ -32,7 +32,8 @@ _OBJECT_KEYS = {"shape", "diameter", "width", "height", "thickness",
 _VERBS = {v.value: v for v in Verb}
 
 _POSITIVE_KEYS = {"diameter", "width", "height", "scale", "aperture_max", "contact_tol",
-                  "L1_min", "L2_min", "L3_min", "motor_step_deg", "trace_stride"}
+                  "L1_min", "L2_min", "L3_min", "motor_step_deg", "theta1_travel_deg",
+                  "trace_stride"}
 
 
 @dataclass(frozen=True)

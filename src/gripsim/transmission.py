@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import RackTravelError
 
@@ -166,7 +167,7 @@ class TransmissionParams:
     reduction: float
     slot: SlotGeometry
 
-    @property
+    @cached_property
     def layout(self) -> RackLayout:
         span = (self.theta1_max - self.theta1_rest) * self.finger_gear_radius
         return RackLayout(drive_span=span, slot=self.slot)

@@ -268,3 +268,10 @@ def test_config_errors_name_the_offending_field():
         with pytest.raises(ConfigError) as err:
             build_config(**{field: value})
         assert err.value.field == field
+
+
+def test_non_positive_drive_travel_is_a_config_error():
+    from gripsim.errors import ConfigError
+    with pytest.raises(ConfigError) as err:
+        build_config(theta1_travel=-0.1)
+    assert err.value.field == "theta1_travel"

@@ -53,6 +53,15 @@ def test_replaced_config_resolves_its_own_params(cfg):
     assert cfg.force_budget == 30 * 6.6 * 1000.0 / cfg.geometry.D1
 
 
+def test_replaced_transmission_params_get_a_fresh_layout(cfg):
+    params = cfg.transmission_params()
+    assert params.layout is params.layout
+    shorter = replace(params, theta1_max=params.theta1_max - 0.5)
+    assert shorter.layout.drive_span == \
+        (shorter.theta1_max - shorter.theta1_rest) * shorter.finger_gear_radius
+    assert shorter.layout.drive_span < params.layout.drive_span
+
+
 DERIVED = ("layout", "alpha_rest", "theta2_rest", "delta_stop", "theta3_max")
 
 

@@ -2,10 +2,13 @@
 
 No linter ships with the test environment, so this walks each module's syntax
 tree instead.  ``__init__.py`` is exempt: its imports are the package's
-public re-exports.
+public re-exports.  The library also runs without numpy and scipy, which only
+the tests use.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,28 @@ def test_module_uses_every_import(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+_RUN_WITHOUT_NUMPY = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import gripsim
+from gripsim import assembly
+from gripsim.config import default_config
+from gripsim.scenario import parse_scenario
+default_config()
+scn = parse_scenario(Path(sys.argv[2]).read_text(encoding="utf-8"))
+gripper = assembly.build_gripper(scn.build_config(), base_translation=scn.base_translation)
+report = assembly.run_commands(gripper, scn.build_object(), scn.build_commands())
+print(report.success, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_library_runs_without_numpy_and_scipy(scenario_dir):
+    # a fresh interpreter: this test session has loaded numpy already
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, str(SRC.parent),
+         str(scenario_dir / "cardboard_thin.scn")],
+        capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["True", "[]"]

@@ -40,6 +40,12 @@ def test_non_finite_numbers_and_non_positive_tolerance_are_rejected(text, line, 
     assert err.value.diagnostics == [(line, col, msg)]
 
 
+def test_non_positive_drive_travel_is_rejected_with_location():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("[gripper]\ntheta1_travel_deg = -10\n")
+    assert err.value.diagnostics == [(2, 21, "theta1_travel_deg: must be positive")]
+
+
 def test_scale_keeps_every_other_key():
     scn = parse_scenario("[gripper]\nscale = 1.5\nmotor_step_deg = 4\ntrace_stride = 5\n"
                          "contact_tol = 0.05\ntheta1_travel_deg = 100\n")
