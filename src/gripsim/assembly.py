@@ -12,7 +12,8 @@ stepped state carries a free phalanx into the object: it lands just touching
 (within the contact tolerance).  The start state is not checked, so a scene
 whose object overlaps a rest phalanx starts penetrating; and a phalanx that
 crosses a rectangle's edge reads clearance 0, so the engine takes it for a
-touch.
+touch.  ``contact_detect`` places each contact at the exact point of the
+phalanx nearest the object (the crossing point for a crossing phalanx).
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class Mount:
 class GripperAssembly:
     """Left and right finger states, shared transmission, palm geometry.
 
-    ``fingers`` and ``mounts()`` are indexed by side; ``world_segments`` and
-    ``tip`` take a physical finger index 0-2 and map it through ``SIDES``.
+    ``fingers``, ``mounts()`` and ``side_segments`` are indexed by side;
+    ``world_segments`` and ``tip`` take a physical finger index 0-2 and map it
+    through ``SIDES``.
     Both sides are posed once per instance; ``replace()`` starts an empty cache.
     """
 
@@ -70,12 +72,12 @@ class GripperAssembly:
         return _mounts(self.config, self.transmission.base_translation)
 
     @cached_property
-    def _side_segments(self) -> tuple[Segments, Segments]:
+    def side_segments(self) -> tuple[Segments, Segments]:
         params = self.config.finger_params()
         return tuple(_world_segments(params, f, m) for f, m in zip(self.fingers, self.mounts()))
 
     def world_segments(self, i: int) -> Segments:
-        return self._side_segments[SIDES[i]]
+        return self.side_segments[SIDES[i]]
 
     def tip(self, i: int) -> Point:
         return self.world_segments(i)[-1][1]
@@ -106,31 +108,25 @@ def build_gripper(config: GripperConfig | None = None,
 
 def contact_detect(assembly: GripperAssembly,
                    obj: SceneObject | None) -> list[tuple[int, PhalanxContact]]:
-    """All phalanx/object proximities within tolerance, ordered by finger then phalanx."""
+    """All phalanx/object proximities within tolerance, ordered by finger then phalanx.
+
+    Each contact sits at its exact witness point, the point of the phalanx
+    nearest the object (``SceneObject.clearance_witness``).  Each side is
+    evaluated once: the fingers of a side share their contact objects.
+    """
     if obj is None:
         return []
     tol = assembly.config.contact_tol
-    out: list[tuple[int, PhalanxContact]] = []
-    for i in range(len(SIDES)):
-        for ph, (a, b) in zip(_PHALANGES, assembly.world_segments(i)):
-            clear = obj.clearance_to_segment(a, b)
+    per_side = []
+    for segments in assembly.side_segments:
+        found = []
+        for ph, (a, b) in zip(_PHALANGES, segments):
+            clear, point = obj.clearance_witness(a, b)
             if clear <= tol:
-                out.append((i, PhalanxContact(phalanx=ph, point=_closest_point(obj, a, b),
-                                              penetration=max(0.0, -clear))))
-    return out
-
-
-def _closest_point(obj: SceneObject, a: Point, b: Point) -> Point:
-    # sample the segment; adequate for reporting/render markers
-    best, best_d = a, float("inf")
-    n = 32
-    for k in range(n + 1):
-        t = k / n
-        p = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-        d = obj.clearance_to_segment(p, p)
-        if d < best_d:
-            best, best_d = p, d
-    return best
+                found.append(PhalanxContact(phalanx=ph, point=point,
+                                            penetration=max(0.0, -clear)))
+        per_side.append(found)
+    return [(i, contact) for i, side in enumerate(SIDES) for contact in per_side[side]]
 
 
 def _world_segments(params: FingerParams, state: FingerState, mount: Mount,

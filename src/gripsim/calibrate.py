@@ -107,21 +107,24 @@ def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
     """(minimum middle length, argmin delta) over the physically open range.
 
     The first least length on ``np.linspace``'s 4001-point grid brackets a
-    golden-section search; angles where the linkage cannot close are skipped.
+    golden-section search; angles where the linkage cannot close are skipped,
+    both on the grid and as bracket ends.
     """
     lo, hi = -math.pi / 2.0, max(geom.kappa, 0.1)
     step = (hi - lo) / 4000
     grid = [k * step + lo for k in range(4000)] + [hi]
     L2a, L2b, L2c, beta = geom.L2a, geom.L2b, geom.L2c, geom.beta
-    best, i = math.inf, 0
-    for k, delta in enumerate(grid):
+    lengths = []
+    for delta in grid:
         b = 2.0 * L2c * math.cos(delta) - 2.0 * L2a * math.cos(beta)
         c = L2a ** 2 + L2c ** 2 - 2.0 * L2a * L2c * math.cos(delta - beta) - L2b ** 2
         disc = b * b - 4.0 * c
-        length = (-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf
-        if length < best:
-            best, i = length, k
-    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+        lengths.append((-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf)
+    i = lengths.index(min(lengths))
+    a = grid[i - 1] if i > 0 and lengths[i - 1] < math.inf else grid[i]
+    b = grid[i + 1] if i < len(grid) - 1 and lengths[i + 1] < math.inf else grid[i]
+    if a == b:
+        raise ConfigError("L2c", "the middle linkage cannot close next to its shortest length")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

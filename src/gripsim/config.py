@@ -237,8 +237,11 @@ def _validate(cfg: GripperConfig) -> None:
     cfg.delta_stop   # bracketed only once L2_min lies inside (0, L2_rest)
     if not 0.0 < cfg.L3_min < g.L3_rest:
         raise ConfigError("L3_min", "must lie inside (0, L3_rest)")
-    if not cfg.theta1_travel > 0.0:
-        raise ConfigError("theta1_travel", "drive travel must be positive")
+    for name in ("theta1_travel", "motor_step", "contact_tol", "trace_stride"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError(name, "must be positive")
+    if not cfg.motor_torque >= 0.0:
+        raise ConfigError("motor_torque", "cannot be negative")
     if cfg.base_shift_max > 0.0 and \
             not 0.0 < cfg.slot_entry < cfg.slot_peak <= cfg.base_shift_max:
         raise ConfigError("slot_peak", "lock slot must be ordered inside the base travel")

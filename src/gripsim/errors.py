@@ -23,10 +23,6 @@ class NonPhysicalRootError(GripsimError):
     """Both retraction roots are non-positive; no physical linkage length exists."""
 
 
-class DegenerateCirclesError(GripsimError):
-    """Coincident circles of equal radius: infinitely many intersections."""
-
-
 class OverCompressionError(GripsimError):
     """A contact demands more retraction travel than the slider allows."""
 

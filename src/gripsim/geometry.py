@@ -1,16 +1,12 @@
-"""Planar geometric primitives: points, circle intersections, segment distances.
+"""Planar geometric primitives: points, rotation and segment distances.
 
-Everything is in millimetres in whatever frame the caller works in.  These
-helpers are deliberately independent of the linkage solvers so they can act
-as oracles for them.
+Everything is in millimetres in whatever frame the caller works in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import DegenerateCirclesError
 
 _ABS_TOL = 1e-12
 
@@ -31,49 +27,6 @@ class Point:
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-def circle_intersect(c1: Point, r1: float, c2: Point, r2: float,
-                     tol: float = 1e-9) -> list[Point]:
-    """All real intersection points of two circles.
-
-    Returns an empty list when the circles are separate or nested, one point
-    at (internal or external) tangency, two points otherwise.  Coincident
-    circles of equal radius raise DegenerateCirclesError: the intersection is
-    a whole circle, not a point list.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("circle radii must be positive")
-    d = c1.distance_to(c2)
-    if d < _ABS_TOL:
-        if abs(r1 - r2) < tol:
-            raise DegenerateCirclesError("coincident circles of equal radius")
-        return []
-    if d > r1 + r2 + tol or d < abs(r1 - r2) - tol:
-        return []
-    # foot of the radical axis along the centre line
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h_sq = r1 * r1 - a * a
-    ux = (c2.x - c1.x) / d
-    uy = (c2.y - c1.y) / d
-    px = c1.x + a * ux
-    py = c1.y + a * uy
-    if h_sq <= tol * max(1.0, r1 * r1):
-        return [Point(px, py)]
-    h = math.sqrt(h_sq)
-    return [Point(px + h * uy, py - h * ux), Point(px - h * uy, py + h * ux)]
-
-
-def circle_horizontal_line_intersect(center: Point, radius: float, y: float) -> list[float]:
-    """x coordinates where the horizontal line at height y meets the circle."""
-    dy = y - center.y
-    disc = radius * radius - dy * dy
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [center.x]
-    r = math.sqrt(disc)
-    return [center.x - r, center.x + r]
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> tuple[float, float]:

@@ -2,18 +2,20 @@
 
 Coordinates are millimetres, 1 SVG unit = 1 mm, with the y axis flipped so
 the fingers hang downward on screen.  Every frame carries exactly one
-polyline per phalanx per finger plus one object outline.
+polyline per phalanx per finger plus one object outline, and one marker per
+contact at the exact point of the phalanx nearest the object.  The two right
+fingers share a side, so each side is formatted once and emitted per finger.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .assembly import GripperAssembly, contact_detect
+from .assembly import SIDES, GripperAssembly, contact_detect
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
 
-_FINGER_COLORS = ("#1f6feb", "#d33f49", "#d33f49")
+_SIDE_COLORS = ("#1f6feb", "#d33f49")
 
 
 def _fmt(x: float) -> str:
@@ -42,19 +44,21 @@ def frame_svg(assembly: GripperAssembly, obj: SceneObject | None,
             f'x2="{_fmt(half - 10)}" y2="{_fmt(-obj.surface_y)}" '
             'stroke="#b89958" stroke-width="0.8" stroke-dasharray="4 3"/>'
         )
-    for i, color in enumerate(_FINGER_COLORS):
-        for a, b in assembly.world_segments(i):
-            parts.append(
-                f'  <polyline points="{_pt(a)} {_pt(b)}" fill="none" '
-                f'stroke="{color}" stroke-width="2.5" stroke-linecap="round"/>'
-            )
+    polylines = [[f'  <polyline points="{_pt(a)} {_pt(b)}" fill="none" '
+                  f'stroke="{color}" stroke-width="2.5" stroke-linecap="round"/>'
+                  for a, b in segments]
+                 for color, segments in zip(_SIDE_COLORS, assembly.side_segments)]
+    for side in SIDES:
+        parts.extend(polylines[side])
     if obj is not None:
         parts.append("  " + _object_outline(obj))
+    markers: dict[int, str] = {}   # by id: the fingers of a side share contact objects
     for _, contact in contact_detect(assembly, obj):
-        parts.append(
-            f'  <circle cx="{_fmt(contact.point.x)}" cy="{_fmt(-contact.point.y)}" '
-            'r="1.6" fill="#e0a020"/>'
-        )
+        if id(contact) not in markers:
+            markers[id(contact)] = (
+                f'  <circle cx="{_fmt(contact.point.x)}" cy="{_fmt(-contact.point.y)}" '
+                'r="1.6" fill="#e0a020"/>')
+        parts.append(markers[id(contact)])
     if caption:
         parts.append(
             f'  <text x="{_fmt(-half + 12)}" y="-8.000" font-size="9" '

@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import pytest
 
 from gripsim.assembly import (
@@ -12,6 +14,7 @@ from gripsim.assembly import (
 )
 from gripsim.config import build_config
 from gripsim.finger import Behavior, Phalanx
+from gripsim.geometry import Point
 from gripsim.scene import SceneObject
 
 
@@ -275,3 +278,25 @@ def test_non_positive_drive_travel_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         build_config(theta1_travel=-0.1)
     assert err.value.field == "theta1_travel"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("motor_step", 0.0), ("motor_step", -0.01), ("contact_tol", 0.0),
+    ("trace_stride", 0), ("motor_torque", -1.0),
+])
+def test_bad_step_inputs_are_config_errors_naming_the_field(field, value):
+    from gripsim.errors import ConfigError
+    with pytest.raises(ConfigError) as err:
+        build_config(**{field: value})
+    assert err.value.field == field
+
+
+def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg):
+    obj = SceneObject.circle(40.0, 0.0, -58.0)
+    final = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]
+    contacts = contact_detect(final, obj)
+    by_finger = [[c for i, c in contacts if i == finger] for finger in range(3)]
+    assert [c.phalanx for c in by_finger[0]] == [Phalanx.PROXIMAL, Phalanx.MIDDLE]
+    assert by_finger[1] == by_finger[2] == [
+        replace(c, point=Point(-c.point.x, c.point.y)) for c in by_finger[0]]
+    assert contacts == [(i, c) for i in range(3) for c in by_finger[i]]

@@ -17,9 +17,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gripsim import calibrate, linkage
+from gripsim.cli import main
 from gripsim.config import build_config, default_geometry
 from gripsim.errors import ConfigError, GripsimError
 from gripsim.linkage import LinkageGeometry
+from gripsim.scenario import parse_scenario
 
 PINNED_L2C = "0x1.de66666666652p+4"
 DEFAULT_KAPPA = "0x1.a054fb81ae6cdp-1"
@@ -40,9 +42,13 @@ def _middle_lengths(geom: LinkageGeometry, deltas: np.ndarray) -> np.ndarray:
 def _middle_min_numpy(geom: LinkageGeometry) -> tuple[float, float]:
     """The numpy scan ``calibrate._middle_min`` replaces, refinement included."""
     deltas = np.linspace(-math.pi / 2.0, max(geom.kappa, 0.1), 4001)
-    i = int(np.nanargmin(_middle_lengths(geom, deltas)))
-    a = float(deltas[max(0, i - 1)])
-    b = float(deltas[min(len(deltas) - 1, i + 1)])
+    lengths = _middle_lengths(geom, deltas)
+    i = int(np.nanargmin(lengths))
+    # bracket only with neighbours where the linkage closes
+    a = float(deltas[i - 1 if i > 0 and not np.isnan(lengths[i - 1]) else i])
+    b = float(deltas[i + 1 if i < len(deltas) - 1 and not np.isnan(lengths[i + 1]) else i])
+    if a == b:
+        raise ConfigError("L2c", "no closing bracket")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -133,7 +139,7 @@ def test_brentq_matches_scipy_at_both_call_sites(geom, L2_min):
     geom = _with_kappa(geom)
     try:
         lo_len, arg = calibrate._middle_min(geom)
-    except GripsimError:   # the refinement left the closable range
+    except ConfigError:   # no closing bracket around the grid minimum
         lo_len = math.inf
     assume(lo_len <= L2_min)
 
@@ -191,3 +197,27 @@ def test_stop_angle_is_memoised_per_geometry_and_stop(monkeypatch):
     assert len(scans) == 1
     build_config(L2_min=35.0625)
     assert len(scans) == 2
+
+
+# the grid minimum of this middle linkage sits next to an angle where it cannot
+# close; a bracket reaching over there made build_config fail with no field
+OPEN_NEIGHBOUR = "[gripper]\nL2_rest = 59.2\nL2a = 38.7\nL2b = 76.1\nL2c = 38.8\n"
+
+
+def test_the_refinement_stays_where_the_middle_linkage_closes():
+    geom = replace(default_geometry(), L2_rest=59.2, L2a=38.7, L2b=76.1, L2c=38.8)
+    geom = replace(geom, kappa=calibrate.solve_kappa(geom))
+    lo_len, arg = calibrate._middle_min(geom)
+    assert linkage.middle_length(geom, arg) == lo_len
+    with pytest.raises(GripsimError):   # the angle one grid step further out
+        linkage.middle_length(geom, arg - (max(geom.kappa, 0.1) + math.pi / 2.0) / 4000)
+    cfg = parse_scenario(OPEN_NEIGHBOUR).build_config()
+    assert linkage.middle_length(cfg.geometry, cfg.delta_stop) == pytest.approx(36.0, abs=1e-9)
+
+
+def test_calibrate_resolves_a_linkage_whose_minimum_borders_an_open_angle(tmp_path, capsys):
+    path = tmp_path / "open_neighbour.scn"
+    path.write_text(OPEN_NEIGHBOUR, encoding="utf-8")
+    assert main(["calibrate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "L2c            = 38.800000 mm" in out

@@ -7,6 +7,9 @@ as ``_dot`` and ``_cross``).  The rewrite keeps every arithmetic operation in
 the same order, so results must match bit for bit: floats are compared
 through ``float.hex``, which also tells -0.0 from 0.0.
 
+Contact markers ask ``SceneObject.clearance_witness``, which must return
+the same clearance bits together with a point of the segment that attains it.
+
 The engine skips the kernels while a Lipschitz lower bound keeps a phalanx
 clear of contact; the last test checks that bound against the kernels.
 """
@@ -196,6 +199,51 @@ def test_hand_picked_contacts_are_bit_identical():
     ]
     for obj, a, b in cases:
         assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+
+
+def _off_segment(p, a, b):
+    """Distance from p to segment ab; unlike the kernels, only an exact point is a point."""
+    ab = b - a
+    denom = _dot(ab, ab)
+    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, _dot(p - a, ab) / denom))
+    return p.distance_to(a + ab.scaled(t))
+
+
+@settings(max_examples=600, deadline=None)
+@given(objects_with_segments())
+def test_the_witness_attains_the_clearance_on_the_segment(case):
+    obj, a, b = case
+    clear, w = obj.clearance_witness(a, b)
+    assert _bits(clear) == _bits(obj.clearance_to_segment(a, b))
+    assert _off_segment(w, a, b) <= 1e-9
+    crossing = obj.kind is not ShapeKind.CIRCLE and any(
+        _ref_segments_intersect(a, b, e1, e2) for e1, e2 in obj._edges)
+    # the kernels read an edge shorter than 1e-6 mm (squared length under
+    # 1e-12) as its first corner, so a slab that thin reads off by up to its
+    # thickness
+    tol = 1e-9 + (obj.thickness if obj.thickness < 1e-6 else 0.0)
+    assert abs(obj.clearance_to_segment(w, w) - (0.0 if crossing else clear)) <= tol
+
+
+def test_hand_picked_witnesses():
+    disc = SceneObject.circle(60.0, y=-70.0)
+    rect = SceneObject.rectangle(80.0, 40.0, y=-60.0)
+    slab = SceneObject.slab(0.0, 100.0, surface_y=-120.0)
+    cases = [
+        (disc, Point(-50.0, -20.0), Point(50.0, -20.0), 20.0, Point(0.0, -20.0)),
+        (disc, Point(40.0, -70.0), Point(40.0, -70.0), 10.0, Point(40.0, -70.0)),
+        # parallel to the top edge: every point ties, the first endpoint wins
+        (rect, Point(-10.0, -35.0), Point(10.0, -35.0), 5.0, Point(-10.0, -35.0)),
+        # across a corner: the corner's projection wins
+        (rect, Point(50.0, -40.0), Point(40.0, -30.0), math.hypot(5.0, 5.0), Point(45.0, -35.0)),
+        # inside, nearest the right edge
+        (rect, Point(30.0, -60.0), Point(35.0, -60.0), -5.0, Point(35.0, -60.0)),
+        # crossing: the crossing point, not the deepest one
+        (slab, Point(10.0, -100.0), Point(10.0, -140.0), 0.0, Point(10.0, -120.0)),
+        (rect, Point(0.0, -30.0), Point(0.0, -60.0), 0.0, Point(0.0, -40.0)),
+    ]
+    for obj, a, b, clear, witness in cases:
+        assert obj.clearance_witness(a, b) == (clear, witness)
 
 
 @st.composite

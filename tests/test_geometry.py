@@ -1,52 +1,6 @@
-import math
-
 import pytest
 
-from gripsim.errors import DegenerateCirclesError
-from gripsim.geometry import (
-    Point,
-    circle_horizontal_line_intersect,
-    circle_intersect,
-    point_segment_distance,
-    segment_segment_distance,
-)
-
-
-def test_tangent_circles_touch_at_one_point():
-    pts = circle_intersect(Point(0, 0), 1.0, Point(2, 0), 1.0)
-    assert len(pts) == 1
-    assert pts[0].x == pytest.approx(1.0)
-    assert pts[0].y == pytest.approx(0.0, abs=1e-12)
-
-
-def test_concentric_circles_do_not_intersect():
-    assert circle_intersect(Point(0, 0), 1.0, Point(0, 0), 2.0) == []
-
-
-def test_unit_circles_one_apart_cross_at_thirty_sixty_ninety_points():
-    pts = circle_intersect(Point(0, 0), 1.0, Point(1, 0), 1.0)
-    assert len(pts) == 2
-    ys = sorted(p.y for p in pts)
-    assert pts[0].x == pytest.approx(0.5)
-    assert pts[1].x == pytest.approx(0.5)
-    assert ys[0] == pytest.approx(-math.sqrt(3) / 2)
-    assert ys[1] == pytest.approx(math.sqrt(3) / 2)
-
-
-def test_coincident_equal_circles_are_degenerate():
-    with pytest.raises(DegenerateCirclesError):
-        circle_intersect(Point(3, -2), 5.0, Point(3, -2), 5.0)
-
-
-def test_separated_and_nested_circles_are_empty():
-    assert circle_intersect(Point(0, 0), 1.0, Point(5, 0), 1.0) == []
-    assert circle_intersect(Point(0, 0), 5.0, Point(0.5, 0), 1.0) == []
-
-
-def test_horizontal_line_cut():
-    xs = circle_horizontal_line_intersect(Point(2, 1), 5.0, 4.0)
-    assert xs == pytest.approx([-2, 6])
-    assert circle_horizontal_line_intersect(Point(0, 0), 1.0, 2.0) == []
+from gripsim.geometry import Point, point_segment_distance, segment_segment_distance
 
 
 def test_point_segment_distance_clamps_to_endpoints():

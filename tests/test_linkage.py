@@ -6,11 +6,29 @@ from hypothesis import strategies as st
 
 from gripsim import linkage
 from gripsim.errors import InfeasibleConfigurationError, NonPhysicalRootError
-from gripsim.geometry import Point, circle_horizontal_line_intersect
+from gripsim.geometry import Point
 
 
 def _theta2(geom, alpha):
     return geom.beta - alpha
+
+
+def circle_horizontal_line_intersect(center, radius, y):
+    """x coordinates where the horizontal line at height y meets the circle."""
+    dy = y - center.y
+    disc = radius * radius - dy * dy
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [center.x]
+    r = math.sqrt(disc)
+    return [center.x - r, center.x + r]
+
+
+def test_horizontal_line_cut():
+    xs = circle_horizontal_line_intersect(Point(2, 1), 5.0, 4.0)
+    assert xs == pytest.approx([-2, 6])
+    assert circle_horizontal_line_intersect(Point(0, 0), 1.0, 2.0) == []
 
 
 def oracle_lengths(La, Lb, Lc, near, far):
