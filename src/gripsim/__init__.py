@@ -35,7 +35,6 @@ from .linkage import (  # noqa: F401
     LinkageGeometry,
     QuadraticRoots,
     alpha_from,
-    joint_positions,
     select_root,
     solve_middle_retraction,
     solve_proximal_retraction,

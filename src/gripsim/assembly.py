@@ -12,8 +12,10 @@ stepped state carries a free phalanx into the object: it lands just touching
 (within the contact tolerance).  The start state is not checked, so a scene
 whose object overlaps a rest phalanx starts penetrating; and a phalanx that
 crosses a rectangle's edge reads clearance 0, so the engine takes it for a
-touch.  ``contact_detect`` places each contact at the exact point of the
-phalanx nearest the object (the crossing point for a crossing phalanx).
+touch.  ``contact_detect`` asks the engine's clearance kernel too, through
+``SceneObject.clearance_witness``, and places each contact at the point of
+the phalanx that attains the clearance (the crossing point for a crossing
+phalanx).
 """
 
 from __future__ import annotations
@@ -553,12 +555,7 @@ def run_commands(assembly: GripperAssembly, obj: SceneObject | None,
     cfg = assembly.config
     run = _Run(assembly=assembly, obj=obj)
     surface = obj.surface_y if (obj is not None and obj.on_surface) else None
-    trace: list[dict] = []
     run.snap()
-    trace.append(_trace_entry(run))
-
-    degenerate = (obj is not None and obj.kind is ShapeKind.SLAB
-                  and obj.thickness <= cfg.contact_tol)
 
     for cmd in commands:
         direction = -1 if cmd.verb in _CLOSING else 1
@@ -573,16 +570,14 @@ def run_commands(assembly: GripperAssembly, obj: SceneObject | None,
                 run.steps += 1
                 if run.steps % cfg.trace_stride == 0:
                     run.snap()
-                    trace.append(_trace_entry(run))
                 if not moved:
                     break
         except GripsimError as exc:
             run.events.append(f"aborted: {exc}")
-        if not trace or trace[-1]["step"] != run.steps:
+        if run.snapshots[-1][0] != run.steps:
             run.snap()
-            trace.append(_trace_entry(run))
 
-    return _build_report(cfg, run, trace, degenerate, run.events)
+    return _build_report(cfg, run)
 
 
 def close_until_stable(assembly: GripperAssembly, obj: SceneObject | None,
@@ -641,11 +636,10 @@ def _per_finger_report(cfg: GripperConfig, state: FingerState) -> dict:
     }
 
 
-def _trace_entry(run: _Run) -> dict:
-    asm = run.assembly
+def _trace_entry(step: int, asm: GripperAssembly) -> dict:
     left, right = asm.fingers
     return {
-        "step": run.steps,
+        "step": step,
         "gap": max(0.0, asm.aperture()),
         "base": asm.transmission.base_translation,
         "segment": asm.transmission.rack.segment.value,
@@ -664,14 +658,15 @@ def _finger_trace(f: FingerState) -> dict:
     }
 
 
-def _build_report(cfg: GripperConfig, run: _Run, trace: list[dict],
-                  degenerate: bool, events: list[str]) -> GraspReport:
-    asm = run.assembly
+def _build_report(cfg: GripperConfig, run: _Run) -> GraspReport:
+    asm, obj = run.assembly, run.obj
     left, right = asm.fingers
+    degenerate = (obj is not None and obj.kind is ShapeKind.SLAB
+                  and obj.thickness <= cfg.contact_tol)
     left_touch = bool(left.contact_fixed)
     right_touch = bool(right.contact_fixed)
     success = left_touch and right_touch and not degenerate
-    warnings: list[str] = [e for e in events if e.startswith("aborted")]
+    warnings: list[str] = [e for e in run.events if e.startswith("aborted")]
     mode: int | None = None
     if degenerate:
         warnings.append("object thinner than the contact tolerance; nothing to grasp")
@@ -679,8 +674,7 @@ def _build_report(cfg: GripperConfig, run: _Run, trace: list[dict],
         mode = classify_mode(asm)
     except ClassificationError as exc:
         warnings.append(str(exc))
-    if (mode in (4, 5) and run.obj is not None
-            and run.obj.max_extent <= cfg.remote_floor):
+    if mode in (4, 5) and obj is not None and obj.max_extent <= cfg.remote_floor:
         warnings.append(
             "object fits inside the closed-finger hollow of the remote configuration"
         )
@@ -698,7 +692,7 @@ def _build_report(cfg: GripperConfig, run: _Run, trace: list[dict],
         steps=run.steps,
         stalled=run.stalled,
         warnings=warnings,
-        trace=trace,
+        trace=[_trace_entry(step, snap) for step, snap in run.snapshots],
         tip_surface_gap=surface_gap,
         snapshots=run.snapshots,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import assembly as asm
 from .config import default_config
-from .errors import ConfigError, GripsimError, ScenarioError
+from .errors import GripsimError, ScenarioError
 from .render import write_frames
 from .report import canonical_json, render_report
 from .scenario import Scenario, parse_scenario
@@ -56,11 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "modes":
             return _cmd_modes()
         return _cmd_calibrate(args)
-    except ScenarioError as exc:
-        for ln, col, msg in exc.diagnostics:
-            print(f"error: {ln}:{col}: {msg}", file=sys.stderr)
-        return 2
-    except (ConfigError, GripsimError) as exc:
+    except GripsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -89,7 +85,7 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def run_scenario(scenario: Scenario, out_path: Path | None,
-                 svg_dir: Path | None) -> dict:
+                 svg_dir: Path | None) -> None:
     """Execute one scenario; write its report and optional SVG frames."""
     cfg = scenario.build_config()
     gripper = asm.build_gripper(cfg, base_translation=scenario.base_translation)
@@ -103,8 +99,6 @@ def run_scenario(scenario: Scenario, out_path: Path | None,
     if svg_dir is not None:
         caption = f"mode {report.mode} success {str(report.success).lower()}"
         write_frames(svg_dir, report.snapshots, obj, caption)
-    return {"scenario": scenario.name, "mode": report.mode,
-            "success": report.success}
 
 
 def _cmd_run(args) -> int:

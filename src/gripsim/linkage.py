@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InfeasibleConfigurationError, NonPhysicalRootError
-from .geometry import Point
 
 RIGHT_ANGLE = math.pi / 2.0
 
@@ -80,22 +79,6 @@ class QuadraticRoots:
 def alpha_from(theta2: float, beta: float) -> float:
     """Four-bar angle at the coupler end, alpha = beta - theta2."""
     return beta - theta2
-
-
-def joint_positions(geom: LinkageGeometry, theta1: float, alpha: float,
-                    L1: float) -> tuple[Point, Point, Point, Point]:
-    """Vertices (O1, O2, Om, Oa) of the proximal four-bar.
-
-    Frame anchored at O1 with the +x axis along O2->O1, so the phalanx bar
-    lies on the negative x axis.
-    """
-    if L1 <= 0.0:
-        raise ValueError("L1 must be positive")
-    o1 = Point(0.0, 0.0)
-    o2 = Point(-L1, 0.0)
-    om = Point(-L1 - geom.L1c * math.cos(alpha), geom.L1c * math.sin(alpha))
-    oa = Point(-geom.L1a * math.cos(theta1), geom.L1a * math.sin(theta1))
-    return o1, o2, om, oa
 
 
 def _solve_retraction(La: float, Lb: float, Lc: float, near: float, far: float,

@@ -1,7 +1,8 @@
 """Rigid 2-D scene objects and their clearance geometry.
 
-The engine asks ``clearance_to_segment``; contact markers ask
-``clearance_witness``, which also returns the point that attains it.
+One kernel, ``SceneObject._clearance``, measures a segment against an
+object.  The engine reads its clearance through ``clearance_to_segment``;
+contact markers read the point that attains it through ``clearance_witness``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import cached_property
 
 from .errors import ConfigError
 from .geometry import Point, point_segment_distance, rotate, segment_segment_distance
-from .geometry import _orient, _point_segment, _segments_intersect
 
 
 class ShapeKind(Enum):
@@ -102,53 +102,37 @@ class SceneObject:
 
     def clearance_to_segment(self, a: Point, b: Point) -> float:
         """Distance from the object's boundary to a segment (negative inside)."""
-        if self.kind is ShapeKind.CIRCLE:
-            dist, _ = point_segment_distance(self.center, a, b)
-            return dist - self.diameter / 2.0
-        d = min([segment_segment_distance(a, b, e1, e2) for e1, e2 in self._edges])
-        if d == 0.0:
-            return 0.0
-        # segment fully inside the polygon counts as penetration
-        corners = self._corners
-        if _point_in_polygon(a, corners) and _point_in_polygon(b, corners):
-            return -d
-        return d
+        return self._clearance(a, b)[0]
 
     def clearance_witness(self, a: Point, b: Point) -> tuple[float, Point]:
         """``clearance_to_segment(a, b)``, bit for bit, and its witness point on ab.
 
-        For a circle the witness is the projection of the centre (Ericson,
-        *Real-Time Collision Detection*, 2004, 5.1.2).  For a rectangle or slab
-        it is the first least of each edge's four endpoint projections, edges
-        in order (5.1.9); a segment that crosses an edge contributes the
-        crossing point at clearance 0.
+        The witness is a point of ab that attains the clearance: for a circle
+        the projection of the centre; for a rectangle or slab the point
+        ``segment_segment_distance`` returns for the first edge, in order, at
+        the least distance, which is the crossing point for a segment that
+        crosses an edge.
         """
-        ax, ay, bx, by = a.x, a.y, b.x, b.y
-        abx, aby = bx - ax, by - ay
+        clear, t = self._clearance(a, b)
+        return clear, Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+
+    def _clearance(self, a: Point, b: Point) -> tuple[float, float]:
+        """The clearance of segment ab and the parameter t on ab of its witness."""
         if self.kind is ShapeKind.CIRCLE:
-            dist, t = _point_segment(self.x, self.y, ax, ay, bx, by)
-            return dist - self.diameter / 2.0, Point(ax + abx * t, ay + aby * t)
+            dist, t = point_segment_distance(self.center, a, b)
+            return dist - self.diameter / 2.0, t
         d, t = math.inf, 0.0
         for e1, e2 in self._edges:
-            px, py, qx, qy = e1.x, e1.y, e2.x, e2.y
-            if _segments_intersect(ax, ay, bx, by, px, py, qx, qy):
-                o = _orient(px, py, qx, qy, ax, ay)
-                candidates = ((0.0, o / (o - _orient(px, py, qx, qy, bx, by))),)
-            else:
-                candidates = ((_point_segment(ax, ay, px, py, qx, qy)[0], 0.0),
-                              (_point_segment(bx, by, px, py, qx, qy)[0], 1.0),
-                              _point_segment(px, py, ax, ay, bx, by),
-                              _point_segment(qx, qy, ax, ay, bx, by))
-            for dist, at in candidates:
-                if dist < d:
-                    d, t = dist, at
-        witness = Point(ax + abx * t, ay + aby * t)
+            dist, at = segment_segment_distance(a, b, e1, e2)
+            if dist < d:
+                d, t = dist, at
         if d == 0.0:
-            return 0.0, witness
+            return 0.0, t
+        # segment fully inside the polygon counts as penetration
         corners = self._corners
         if _point_in_polygon(a, corners) and _point_in_polygon(b, corners):
-            return -d, witness
-        return d, witness
+            return -d, t
+        return d, t
 
 
 def _point_in_polygon(p: Point, corners: tuple[Point, ...]) -> bool:

@@ -13,8 +13,12 @@ def test_point_segment_distance_clamps_to_endpoints():
 
 
 def test_segment_segment_distance():
+    # parallel and offset: every point ties, the first endpoint wins
     assert segment_segment_distance(Point(0, 0), Point(1, 0),
-                                    Point(0, 1), Point(1, 1)) == pytest.approx(1.0)
-    # crossing segments touch
+                                    Point(0, 1), Point(1, 1)) == (1.0, 0.0)
+    # crossing segments touch at their crossing point
     assert segment_segment_distance(Point(-1, -1), Point(1, 1),
-                                    Point(-1, 1), Point(1, -1)) == 0.0
+                                    Point(-1, 1), Point(1, -1)) == (0.0, 0.5)
+    # an endpoint of the other segment projects strictly inside this one
+    assert segment_segment_distance(Point(0, 0), Point(4, 0),
+                                    Point(1, 2), Point(5, 7)) == (2.0, 0.25)

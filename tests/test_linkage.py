@@ -45,17 +45,6 @@ def test_alpha_from_is_a_plain_difference(cfg):
     assert linkage.alpha_from(0.0, math.radians(90)) == pytest.approx(math.radians(90))
 
 
-def test_joint_positions_match_direct_evaluation(cfg):
-    g = cfg.geometry
-    o1, o2, om, oa = linkage.joint_positions(g, math.radians(90), math.radians(60), 70.0)
-    assert (o1.x, o1.y) == (0.0, 0.0)
-    assert (o2.x, o2.y) == (-70.0, 0.0)
-    assert oa.x == pytest.approx(0.0, abs=1e-12)
-    assert oa.y == pytest.approx(70.0)
-    assert om.x == pytest.approx(-85.0)
-    assert om.y == pytest.approx(25.980762113533157)
-
-
 def test_worked_proximal_example(cfg):
     g = cfg.geometry
     r = linkage.solve_proximal_retraction(g, math.radians(30), _theta2(g, math.radians(60)))
