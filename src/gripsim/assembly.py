@@ -16,6 +16,10 @@ touch.  ``contact_detect`` asks the engine's clearance kernel too, through
 ``SceneObject.clearance_witness``, and places each contact at the point of
 the phalanx that attains the clearance (the crossing point for a crossing
 phalanx).
+
+While both sides hold one state object in a scene that is its own mirror
+image, a step advances side 0 only and hands its state to side 1
+(``_Run.mirrored``), with the bits stepping both sides would give.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class GripperAssembly:
     ``fingers``, ``mounts()`` and ``side_segments`` are indexed by side;
     ``world_segments`` and ``tip`` take a physical finger index 0-2 and map it
     through ``SIDES``.
-    Both sides are posed once per instance; ``replace()`` starts an empty cache.
+    Each state is posed once per instance; ``replace()`` starts an empty cache.
     """
 
     config: GripperConfig
@@ -76,7 +80,10 @@ class GripperAssembly:
     @cached_property
     def side_segments(self) -> tuple[Segments, Segments]:
         params = self.config.finger_params()
-        return tuple(_world_segments(params, f, m) for f, m in zip(self.fingers, self.mounts()))
+        left, right = self.fingers
+        memo = _LastExact() if left is right else None   # poses a shared state once
+        return tuple(_world_segments(params, f, m, memo)
+                     for f, m in zip(self.fingers, self.mounts()))
 
     def world_segments(self, i: int) -> Segments:
         return self.side_segments[SIDES[i]]
@@ -252,6 +259,19 @@ class _Run:
     def snap(self) -> None:
         self.snapshots.append((self.steps, self.assembly))
 
+    def mirrored(self) -> bool:
+        """Both sides hold one state object and the scene is its own mirror image.
+
+        Side 1's world x is then side 0's negated exactly (mounts ``±h``,
+        ``x_dir = ±1``), and the clearance to no object or to a circle at
+        x = 0 is even in x bit for bit (docs/derivations.md).  A centred
+        rectangle or slab is not: the mirror of an edge is walked from its other
+        end, so a distance along it can round differently in the last bit.
+        """
+        left, right = self.assembly.fingers
+        obj = self.obj
+        return left is right and (obj is None or obj.kind is ShapeKind.CIRCLE and obj.x == 0.0)
+
 
 def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
                     surface: float | None) -> FingerState:
@@ -361,6 +381,9 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if route is Route.STALL:
         run.stalled = True
         return False
+    # a mirrored step moves side 0 and hands its state to side 1
+    mirrored = run.mirrored()
+    sides = (0,) if mirrored else (0, 1)
 
     if route is Route.BASE:
         if direction < 0 and any(f.contact_fixed for f in asm.fingers):
@@ -368,7 +391,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             run.stalled = True
             return False
         shift = trans_new.base_translation - asm.transmission.base_translation
-        frac = _base_fraction(cfg, run, shift)
+        frac = _base_fraction(cfg, run, shift, sides)
         if frac <= 1e-12:
             run.stalled = True
             return False
@@ -379,13 +402,15 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
                 return False
         mounts = _mounts(cfg, trans_new.base_translation)
         fingers = list(asm.fingers)
-        for i in (0, 1):
+        for i in sides:
             if direction < 0:
                 clear = _clearances(cfg, fingers[i], mounts[i], run.obj, run.last_exact[i])
                 fingers[i] = _register_contacts(cfg, fingers[i], clear)
             else:
                 fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj,
                                                run.last_exact[i])
+        if mirrored:
+            fingers[1] = fingers[0]
         run.assembly = GripperAssembly(cfg, tuple(fingers), trans_new)
         _note_first_contact(run)
         if stop_on_engage and trans_new.lock.stage is LockStage.ENGAGED:
@@ -402,7 +427,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     fingers = list(asm.fingers)
     moved_any = False
     jammed = False
-    for i in (0, 1):
+    for i in sides:
         before = fingers[i]
         if direction < 0:
             nxt = _close_finger(cfg, before, mounts[i], run.obj, run.last_exact[i],
@@ -415,6 +440,8 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         elif direction < 0:
             jammed = True
         fingers[i] = nxt
+    if mirrored:
+        fingers[1] = fingers[0]
 
     if direction < 0 and (jammed or not moved_any):
         run.stalled = jammed
@@ -438,9 +465,11 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         gap_frac = _gap_fraction(cfg, asm, asm2)
         if gap_frac < 1.0:
             fingers = list(asm.fingers)
-            for i in (0, 1):
+            for i in sides:
                 fingers[i] = _close_finger(cfg, asm.fingers[i], mounts[i], run.obj,
                                            run.last_exact[i], joint_delta * gap_frac, surface)
+            if mirrored:
+                fingers[1] = fingers[0]
             asm2 = GripperAssembly(cfg, tuple(fingers), trans_new)
             run.assembly = asm2
             _note_first_contact(run)
@@ -460,18 +489,19 @@ def _spring_load(cfg: GripperConfig, fingers: list[FingerState]) -> float:
     return sum(sum(fg.spring_forces(params, fingers[side])) for side in SIDES)
 
 
-def _base_fraction(cfg: GripperConfig, run: _Run, shift: float) -> float:
-    """Share of a base shift the fingers can take before a free phalanx touches."""
+def _base_fraction(cfg: GripperConfig, run: _Run, shift: float,
+                   sides: tuple[int, ...]) -> float:
+    """Share of a base shift the fingers of ``sides`` can take before a free phalanx touches."""
     asm, obj = run.assembly, run.obj
     if obj is None or shift == 0.0:
         return 1.0
     travel = asm.transmission.lock.travel
 
     def clear_at(t: float) -> float:
-        c = float("inf")
-        for state, mount, last in zip(asm.fingers, _mounts(cfg, travel + shift * t),
-                                      run.last_exact):
-            c = min(c, *_clearances(cfg, state, mount, obj, last))
+        mounts = _mounts(cfg, travel + shift * t)
+        c = math.inf
+        for i in sides:
+            c = min(c, *_clearances(cfg, asm.fingers[i], mounts[i], obj, run.last_exact[i]))
         return c
 
     if clear_at(1.0) >= 0.0:

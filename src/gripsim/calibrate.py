@@ -107,8 +107,9 @@ def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
     """(minimum middle length, argmin delta) over the physically open range.
 
     The first least length on ``np.linspace``'s 4001-point grid brackets a
-    golden-section search; angles where the linkage cannot close are skipped,
-    both on the grid and as bracket ends.
+    golden-section search; angles where the linkage cannot close, or closes
+    only to a non-positive upper root, are skipped, both on the grid and as
+    bracket ends.
     """
     lo, hi = -math.pi / 2.0, max(geom.kappa, 0.1)
     step = (hi - lo) / 4000
@@ -119,7 +120,8 @@ def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
         b = 2.0 * L2c * math.cos(delta) - 2.0 * L2a * math.cos(beta)
         c = L2a ** 2 + L2c ** 2 - 2.0 * L2a * L2c * math.cos(delta - beta) - L2b ** 2
         disc = b * b - 4.0 * c
-        lengths.append((-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf)
+        root = (-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf
+        lengths.append(root if root > 0.0 else math.inf)
     i = lengths.index(min(lengths))
     a = grid[i - 1] if i > 0 and lengths[i - 1] < math.inf else grid[i]
     b = grid[i + 1] if i < len(grid) - 1 and lengths[i + 1] < math.inf else grid[i]

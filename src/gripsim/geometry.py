@@ -25,9 +25,6 @@ class Point:
     def scaled(self, k: float) -> "Point":
         return Point(self.x * k, self.y * k)
 
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> tuple[float, float]:
     """Distance from p to segment ab and the parameter t of the closest point."""

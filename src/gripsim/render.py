@@ -79,19 +79,13 @@ def _object_outline(obj: SceneObject) -> str:
 
 
 def write_frames(out_dir: str | Path, snapshots: list, obj: SceneObject | None,
-                 summary_caption: str) -> list[Path]:
+                 summary_caption: str) -> None:
     """One frame_%05d.svg per trace snapshot plus a captioned summary frame."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     for n, (step, assembly) in enumerate(snapshots):
-        path = out / f"frame_{n:05d}.svg"
-        path.write_text(frame_svg(assembly, obj, caption=f"step {step}"),
-                        encoding="utf-8")
-        written.append(path)
+        (out / f"frame_{n:05d}.svg").write_text(
+            frame_svg(assembly, obj, caption=f"step {step}"), encoding="utf-8")
     if snapshots:
-        path = out / "summary.svg"
-        path.write_text(frame_svg(snapshots[-1][1], obj, caption=summary_caption),
-                        encoding="utf-8")
-        written.append(path)
-    return written
+        (out / "summary.svg").write_text(
+            frame_svg(snapshots[-1][1], obj, caption=summary_caption), encoding="utf-8")

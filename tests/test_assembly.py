@@ -1,7 +1,10 @@
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gripsim.assembly import (
     aperture_range,
@@ -9,13 +12,19 @@ from gripsim.assembly import (
     classify_mode,
     close_until_stable,
     contact_detect,
+    run_commands,
     sweep_ranges,
     thin_object_pickup,
 )
 from gripsim.config import build_config
 from gripsim.finger import Behavior, Phalanx
 from gripsim.geometry import Point
+from gripsim.render import frame_svg
+from gripsim.report import render_report
+from gripsim.scenario import parse_scenario
 from gripsim.scene import SceneObject
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def test_rest_aperture_is_the_mode_one_maximum(cfg):
@@ -300,3 +309,57 @@ def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg
     assert by_finger[1] == by_finger[2] == [
         replace(c, point=Point(-c.point.x, c.point.y)) for c in by_finger[0]]
     assert contacts == [(i, c) for i in range(3) for c in by_finger[i]]
+
+
+# A mirror-symmetric scene steps side 0 only and hands its state to side 1;
+# starting the sides on two equal but distinct state objects forces the
+# two-sided path, which must give the same bytes.
+
+def _run(text: str, two_sided: bool = False, name: str = "mirror"):
+    scn = parse_scenario(text, name=name)
+    cfg = scn.build_config()
+    asm = build_gripper(cfg, base_translation=scn.base_translation)
+    if two_sided:
+        rest = asm.fingers[0]
+        asm = replace(asm, fingers=(rest, replace(rest)))
+    obj = scn.build_object()
+    rep = run_commands(asm, obj, scn.build_commands())
+    return render_report(scn, cfg, rep), rep, obj
+
+
+_SCRIPTS = ("close = auto\n",
+            "reconfigure = engage\nclose = auto\n",
+            "close = auto\nopen = auto\n")
+
+
+@settings(max_examples=25, deadline=None)
+@given(diameter=st.floats(10.0, 130.0), y=st.floats(-170.0, -20.0),
+       empty=st.booleans(), script=st.sampled_from(_SCRIPTS))
+def test_a_mirrored_run_equals_the_two_sided_run(diameter, y, empty, script):
+    scene = "" if empty else f"[object]\nshape = circle\ndiameter = {diameter!r}\ny = {y!r}\n"
+    text = f"[gripper]\nmotor_step_deg = 4\ntrace_stride = 20\n{scene}[commands]\n{script}"
+    mirrored, rep, obj = _run(text)
+    two_sided, rep2, _ = _run(text, two_sided=True)
+    left, right = rep.snapshots[-1][1].fingers
+    assert left is right
+    left, right = rep2.snapshots[-1][1].fingers
+    assert left is not right
+    assert mirrored == two_sided
+    assert ([frame_svg(snap, obj) for _, snap in rep.snapshots]
+            == [frame_svg(snap, obj) for _, snap in rep2.snapshots])
+
+
+def test_an_off_centre_circle_steps_both_sides():
+    text = "[object]\nshape = circle\ndiameter = 60\nx = 7\ny = -40\n"
+    _, rep, _ = _run(text)
+    left, right = rep.snapshots[-1][1].fingers
+    assert left is not right
+    assert left != right
+
+
+@pytest.mark.parametrize("name", ["cube125_remote", "cube40_proximal"])
+def test_rectangles_step_both_sides(name, scenario_dir):
+    report, rep, _ = _run((scenario_dir / f"{name}.scn").read_text(encoding="utf-8"), name=name)
+    left, right = rep.snapshots[-1][1].fingers
+    assert left is not right
+    assert report.encode("utf-8") == (GOLDEN_DIR / f"{name}.report.json").read_bytes()

@@ -144,8 +144,13 @@ def test_frame_svg_reuses_the_poses_of_an_engine_snapshot(cfg, monkeypatch):
         return real(params, state)
 
     monkeypatch.setattr(fg, "phalanx_poses", counted)
-    frame_svg(build_gripper(cfg), obj)
-    assert len(calls) == 2   # one pose per side: the two right fingers share a state
+    mirrored = build_gripper(cfg)
+    frame_svg(mirrored, obj)
+    assert len(calls) == 1   # both sides hold one state object, posed once
+    calls.clear()
+    rest = mirrored.fingers[0]
+    frame_svg(replace(mirrored, fingers=(rest, replace(rest))), obj)
+    assert len(calls) == 2   # equal but distinct states are posed once each
     calls.clear()
     frame_svg(snapshot, obj)
     assert calls == []

@@ -28,7 +28,8 @@ DEFAULT_KAPPA = "0x1.a054fb81ae6cdp-1"
 
 
 def _middle_lengths(geom: LinkageGeometry, deltas: np.ndarray) -> np.ndarray:
-    """Upper-root middle lengths over an array of five-bar angles (NaN where open)."""
+    """Upper-root middle lengths over an array of five-bar angles (NaN where open
+    or where the upper root is not positive)."""
     b = 2.0 * geom.L2c * np.cos(deltas) - 2.0 * geom.L2a * math.cos(geom.beta)
     c = (geom.L2a ** 2 + geom.L2c ** 2
          - 2.0 * geom.L2a * geom.L2c * np.cos(deltas - geom.beta) - geom.L2b ** 2)
@@ -36,6 +37,7 @@ def _middle_lengths(geom: LinkageGeometry, deltas: np.ndarray) -> np.ndarray:
     out = np.full_like(deltas, np.nan)
     ok = disc >= 0.0
     out[ok] = (-b[ok] + np.sqrt(disc[ok])) / 2.0
+    out[out <= 0.0] = np.nan
     return out
 
 
@@ -199,20 +201,42 @@ def test_stop_angle_is_memoised_per_geometry_and_stop(monkeypatch):
     assert len(scans) == 2
 
 
-# the grid minimum of this middle linkage sits next to an angle where it cannot
-# close; a bracket reaching over there made build_config fail with no field
+# the grid minimum of this middle linkage sits next to angles where it cannot
+# close or closes only to a negative upper root; a bracket reaching over there
+# made build_config fail with no field, and a minimum over them read -9.4 mm
 OPEN_NEIGHBOUR = "[gripper]\nL2_rest = 59.2\nL2a = 38.7\nL2b = 76.1\nL2c = 38.8\n"
 
 
-def test_the_refinement_stays_where_the_middle_linkage_closes():
+def _open_neighbour_geometry():
     geom = replace(default_geometry(), L2_rest=59.2, L2a=38.7, L2b=76.1, L2c=38.8)
-    geom = replace(geom, kappa=calibrate.solve_kappa(geom))
+    return replace(geom, kappa=calibrate.solve_kappa(geom))
+
+
+def _closes_to_a_positive_length(geom, delta):
+    try:
+        return linkage.middle_length(geom, delta) > 0.0
+    except GripsimError:
+        return False
+
+
+def test_the_refinement_stays_where_the_middle_linkage_closes():
+    geom = _open_neighbour_geometry()
     lo_len, arg = calibrate._middle_min(geom)
     assert linkage.middle_length(geom, arg) == lo_len
-    with pytest.raises(GripsimError):   # the angle one grid step further out
-        linkage.middle_length(geom, arg - (max(geom.kappa, 0.1) + math.pi / 2.0) / 4000)
+    # the angle one grid step further out
+    assert not _closes_to_a_positive_length(
+        geom, arg - (max(geom.kappa, 0.1) + math.pi / 2.0) / 4000)
     cfg = parse_scenario(OPEN_NEIGHBOUR).build_config()
     assert linkage.middle_length(cfg.geometry, cfg.delta_stop) == pytest.approx(36.0, abs=1e-9)
+
+
+def test_the_minimum_middle_length_is_positive_or_a_config_error_on_l2c():
+    try:
+        lo_len, _ = calibrate._middle_min(_open_neighbour_geometry())
+    except ConfigError as exc:
+        assert exc.field == "L2c"
+    else:
+        assert lo_len > 0.0
 
 
 def test_calibrate_resolves_a_linkage_whose_minimum_borders_an_open_angle(tmp_path, capsys):

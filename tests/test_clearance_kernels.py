@@ -2,10 +2,11 @@
 
 The reference functions below are the earlier Point-object implementations
 of ``point_segment_distance``, ``segment_segment_distance`` and
-``SceneObject.clearance_to_segment`` (with ``Point.dot`` and ``Point.cross``
-as ``_dot`` and ``_cross``).  The rewrite keeps every arithmetic operation in
-the same order, so results must match bit for bit: floats are compared
-through ``float.hex``, which also tells -0.0 from 0.0.
+``SceneObject.clearance_to_segment`` (with ``Point.dot``, ``Point.cross`` and
+``Point.distance_to`` as ``_dot``, ``_cross`` and ``_distance``).  The
+rewrite keeps every arithmetic operation in the same order, so results must
+match bit for bit: floats are compared through ``float.hex``, which also
+tells -0.0 from 0.0.
 
 Contact markers ask ``SceneObject.clearance_witness``, which must return
 the same clearance bits together with a point of the segment that attains it.
@@ -36,15 +37,19 @@ def _cross(u, v):
     return u.x * v.y - u.y * v.x
 
 
+def _distance(p, q):
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
 def ref_point_segment_distance(p, a, b):
     ab = b - a
     denom = _dot(ab, ab)
     if denom < _ABS_TOL:
-        return p.distance_to(a), 0.0
+        return _distance(p, a), 0.0
     t = _dot(p - a, ab) / denom
     t = min(1.0, max(0.0, t))
     closest = a + ab.scaled(t)
-    return p.distance_to(closest), t
+    return _distance(p, closest), t
 
 
 def _ref_orient(a, b, c):
@@ -208,7 +213,7 @@ def _off_segment(p, a, b):
     ab = b - a
     denom = _dot(ab, ab)
     t = 0.0 if denom == 0.0 else min(1.0, max(0.0, _dot(p - a, ab) / denom))
-    return p.distance_to(a + ab.scaled(t))
+    return _distance(p, a + ab.scaled(t))
 
 
 @settings(max_examples=600, deadline=None)

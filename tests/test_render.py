@@ -33,10 +33,10 @@ def test_rect_objects_render_as_one_polygon(cfg):
 def test_write_frames_produces_numbered_files_and_a_summary(cfg, tmp_path):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
     rep = close_until_stable(build_gripper(cfg), obj, "proximal")
-    files = write_frames(tmp_path, rep.snapshots, obj, "mode 2")
-    names = sorted(p.name for p in files)
-    assert names[0] == "frame_00000.svg"
-    assert "summary.svg" in names
+    write_frames(tmp_path, rep.snapshots, obj, "mode 2")
+    files = sorted(tmp_path.iterdir())
+    names = [p.name for p in files]
+    assert names == [f"frame_{n:05d}.svg" for n in range(len(rep.snapshots))] + ["summary.svg"]
     for p in files:
         _parse(p.read_text(encoding="utf-8"))
 
@@ -45,7 +45,10 @@ def test_frames_are_deterministic(cfg, tmp_path):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
     rep1 = close_until_stable(build_gripper(cfg), obj, "proximal")
     rep2 = close_until_stable(build_gripper(cfg), obj, "proximal")
-    a = write_frames(tmp_path / "a", rep1.snapshots, obj, "x")
-    b = write_frames(tmp_path / "b", rep2.snapshots, obj, "x")
+    write_frames(tmp_path / "a", rep1.snapshots, obj, "x")
+    write_frames(tmp_path / "b", rep2.snapshots, obj, "x")
+    a = sorted((tmp_path / "a").iterdir())
+    b = sorted((tmp_path / "b").iterdir())
+    assert [p.name for p in a] == [p.name for p in b]
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
