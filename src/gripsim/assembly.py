@@ -17,9 +17,10 @@ touch.  ``contact_detect`` asks the engine's clearance kernel too, through
 the phalanx that attains the clearance (the crossing point for a crossing
 phalanx).
 
-While both sides hold one state object in a scene that is its own mirror
-image, a step advances side 0 only and hands its state to side 1
-(``_Run.mirrored``), with the bits stepping both sides would give.
+Each per-side change of a step goes through ``_each_side``.  While both
+sides hold one state object in a scene that is its own mirror image
+(``_Run.mirrored``), it advances side 0 only and hands its state to side 1,
+with the bits stepping both sides would give; no other code does.
 """
 
 from __future__ import annotations
@@ -337,9 +338,16 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
     return replace(state, contact_fixed=frozenset(keep))
 
 
-def _open_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
-                 surface: float | None) -> FingerState:
-    """Reverse the cascade: distal uncurls, wrap releases, then the drive opens."""
+def _settle(cfg: GripperConfig, state: FingerState, mount: Mount,
+            obj: SceneObject | None, last: _LastExact) -> FingerState:
+    """Fix every phalanx a closing base shift leaves within tolerance."""
+    return _register_contacts(cfg, state, _clearances(cfg, state, mount, obj, last))
+
+
+def _open_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
+                 obj: SceneObject | None, last: _LastExact, joint_delta: float) -> FingerState:
+    """Reverse the cascade (distal uncurls, wrap releases, then the drive opens),
+    then release the contacts the opened finger has left."""
     params = cfg.finger_params()
     g = cfg.geometry
     if state.behavior is Behavior.ENVELOPING_DECOUPLED and state.theta3 > 0.0:
@@ -349,8 +357,7 @@ def _open_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
         nxt = replace(state, theta3=theta3, L2=L2)
         if theta3 == 0.0:
             nxt = replace(nxt, behavior=Behavior.ENVELOPING_PROXIMAL)
-        return nxt
-    if state.behavior in (Behavior.ENVELOPING_DECOUPLED, Behavior.ENVELOPING_PROXIMAL) \
+    elif state.behavior in (Behavior.ENVELOPING_DECOUPLED, Behavior.ENVELOPING_PROXIMAL) \
             and state.alpha_anchor is not None:
         alpha = g.beta - state.theta2
         alpha_new = min(state.alpha_anchor, alpha + joint_delta)
@@ -361,18 +368,29 @@ def _open_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
             theta2 = params.theta2_rest - (state.theta1 - params.theta1_rest)
             nxt = replace(nxt, behavior=Behavior.PARALLEL, alpha_anchor=None,
                           theta2=theta2, L1=g.L1_rest)
-        return nxt
-    nxt = fg.advance_theta1(params, state, -joint_delta)
-    if surface is not None:
-        nxt = fg.distal_retract(params, nxt, surface)
-    elif state.behavior is Behavior.THIN_OBJECT and nxt.L3 >= g.L3_rest - 1e-12:
-        nxt = replace(nxt, behavior=Behavior.PARALLEL, L3=g.L3_rest)
-    return nxt
+    else:
+        nxt = fg.advance_theta1(params, state, -joint_delta)
+        if state.behavior is Behavior.THIN_OBJECT and nxt.L3 >= g.L3_rest - 1e-12:
+            nxt = replace(nxt, behavior=Behavior.PARALLEL, L3=g.L3_rest)
+    return _release_contacts(cfg, nxt, mount, obj, last)
+
+
+def _each_side(cfg: GripperConfig, run: _Run, mirrored: bool, mounts: tuple[Mount, Mount],
+               move, *extra) -> tuple[FingerState, FingerState]:
+    """Each side's state of ``run.assembly`` after ``move(cfg, state, mount, obj, last,
+    *extra)``.  A mirrored step (``_Run.mirrored``) moves side 0 only and hands
+    its state to side 1; this is the only place that hand-over happens."""
+    states, last, obj = run.assembly.fingers, run.last_exact, run.obj
+    left = move(cfg, states[0], mounts[0], obj, last[0], *extra)
+    if mirrored:
+        return (left, left)
+    return (left, move(cfg, states[1], mounts[1], obj, last[1], *extra))
 
 
 def _step(cfg: GripperConfig, run: _Run, direction: int,
           surface: float | None, stop_on_engage: bool) -> bool:
-    """One motor step; returns True when anything moved."""
+    """One motor step: the shared transmission moves, then each side's finger
+    (``_each_side``); returns True when anything moved."""
     asm = run.assembly
     tp = cfg.transmission_params()
     motor_delta = direction * cfg.motor_step
@@ -381,9 +399,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if route is Route.STALL:
         run.stalled = True
         return False
-    # a mirrored step moves side 0 and hands its state to side 1
     mirrored = run.mirrored()
-    sides = (0,) if mirrored else (0, 1)
 
     if route is Route.BASE:
         if direction < 0 and any(f.contact_fixed for f in asm.fingers):
@@ -391,7 +407,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             run.stalled = True
             return False
         shift = trans_new.base_translation - asm.transmission.base_translation
-        frac = _base_fraction(cfg, run, shift, sides)
+        frac = _base_fraction(cfg, run, shift, mirrored)
         if frac <= 1e-12:
             run.stalled = True
             return False
@@ -400,18 +416,9 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             if route2 is not Route.BASE:
                 run.stalled = True
                 return False
-        mounts = _mounts(cfg, trans_new.base_translation)
-        fingers = list(asm.fingers)
-        for i in sides:
-            if direction < 0:
-                clear = _clearances(cfg, fingers[i], mounts[i], run.obj, run.last_exact[i])
-                fingers[i] = _register_contacts(cfg, fingers[i], clear)
-            else:
-                fingers[i] = _release_contacts(cfg, fingers[i], mounts[i], run.obj,
-                                               run.last_exact[i])
-        if mirrored:
-            fingers[1] = fingers[0]
-        run.assembly = GripperAssembly(cfg, tuple(fingers), trans_new)
+        fingers = _each_side(cfg, run, mirrored, _mounts(cfg, trans_new.base_translation),
+                             _settle if direction < 0 else _release_contacts)
+        run.assembly = GripperAssembly(cfg, fingers, trans_new)
         _note_first_contact(run)
         if stop_on_engage and trans_new.lock.stage is LockStage.ENGAGED:
             run.events.append("lock engaged")
@@ -424,54 +431,33 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
         run.stalled = True
         return False
     mounts = asm.mounts()
-    fingers = list(asm.fingers)
-    moved_any = False
-    jammed = False
-    for i in sides:
-        before = fingers[i]
-        if direction < 0:
-            nxt = _close_finger(cfg, before, mounts[i], run.obj, run.last_exact[i],
-                                joint_delta, surface)
-        else:
-            nxt = _open_finger(cfg, before, joint_delta, surface)
-            nxt = _release_contacts(cfg, nxt, mounts[i], run.obj, run.last_exact[i])
-        if nxt != before:
-            moved_any = True
-        elif direction < 0:
-            jammed = True
-        fingers[i] = nxt
-    if mirrored:
-        fingers[1] = fingers[0]
+    if direction > 0:
+        fingers = _each_side(cfg, run, mirrored, mounts, _open_finger, joint_delta)
+        if fingers == asm.fingers:
+            return False
+    else:
+        fingers = _each_side(cfg, run, mirrored, mounts, _close_finger, joint_delta, surface)
+        if fingers[0] == asm.fingers[0] or fingers[1] == asm.fingers[1]:
+            # a jammed side holds the shared train
+            run.stalled = True
+            return False
+        if _spring_load(cfg, fingers) > cfg.force_budget:
+            # the motor cannot stretch the retraction springs any further
+            run.stalled = True
+            run.events.append("stall: spring load at the torque bound")
+            return False
 
-    if direction < 0 and (jammed or not moved_any):
-        run.stalled = jammed
-        return False
-    if direction > 0 and not moved_any:
-        return False
-
-    if direction < 0 and _spring_load(cfg, fingers) > cfg.force_budget:
-        # the motor cannot stretch the retraction springs any further
-        run.stalled = True
-        run.events.append("stall: spring load at the torque bound")
-        return False
-
-    asm2 = GripperAssembly(cfg, tuple(fingers), trans_new)
+    asm2 = GripperAssembly(cfg, fingers, trans_new)
 
     # Parallel closing bottoms out when the opposed tips meet; once a finger
     # wraps, the crosswise arrangement lets the fingers interleave instead.
-    parallel_family = all(
-        f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers)
-    if direction < 0 and parallel_family:
+    if direction < 0 and all(
+            f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers):
         gap_frac = _gap_fraction(cfg, asm, asm2)
         if gap_frac < 1.0:
-            fingers = list(asm.fingers)
-            for i in sides:
-                fingers[i] = _close_finger(cfg, asm.fingers[i], mounts[i], run.obj,
-                                           run.last_exact[i], joint_delta * gap_frac, surface)
-            if mirrored:
-                fingers[1] = fingers[0]
-            asm2 = GripperAssembly(cfg, tuple(fingers), trans_new)
-            run.assembly = asm2
+            fingers = _each_side(cfg, run, mirrored, mounts, _close_finger,
+                                 joint_delta * gap_frac, surface)
+            run.assembly = GripperAssembly(cfg, fingers, trans_new)
             _note_first_contact(run)
             run.events.append("fingertips met")
             return False
@@ -483,19 +469,20 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     return True
 
 
-def _spring_load(cfg: GripperConfig, fingers: list[FingerState]) -> float:
+def _spring_load(cfg: GripperConfig, fingers: tuple[FingerState, FingerState]) -> float:
     """Summed spring force (N) the motor is currently holding across all three fingers."""
     params = cfg.finger_params()
     return sum(sum(fg.spring_forces(params, fingers[side])) for side in SIDES)
 
 
-def _base_fraction(cfg: GripperConfig, run: _Run, shift: float,
-                   sides: tuple[int, ...]) -> float:
-    """Share of a base shift the fingers of ``sides`` can take before a free phalanx touches."""
+def _base_fraction(cfg: GripperConfig, run: _Run, shift: float, mirrored: bool) -> float:
+    """Share of a base shift the fingers can take before a free phalanx touches;
+    a mirrored step probes side 0 only."""
     asm, obj = run.assembly, run.obj
     if obj is None or shift == 0.0:
         return 1.0
     travel = asm.transmission.lock.travel
+    sides = (0,) if mirrored else (0, 1)
 
     def clear_at(t: float) -> float:
         mounts = _mounts(cfg, travel + shift * t)
@@ -636,7 +623,7 @@ def thin_object_pickup(assembly: GripperAssembly, slab: SceneObject) -> GraspRep
 
 def classify_mode(assembly: GripperAssembly) -> int:
     """Map a terminal state to one of the five grasp modes."""
-    seg = assembly.transmission.rack.segment
+    seg = assembly.transmission.rack
     enveloping = _any_enveloping(assembly)
     if seg in (RackSegment.PART_B1, RackSegment.RED_LINE, RackSegment.PART_B2):
         if enveloping:
@@ -672,7 +659,7 @@ def _trace_entry(step: int, asm: GripperAssembly) -> dict:
         "step": step,
         "gap": max(0.0, asm.aperture()),
         "base": asm.transmission.base_translation,
-        "segment": asm.transmission.rack.segment.value,
+        "segment": asm.transmission.rack.value,
         "left": _finger_trace(left),
         "right": _finger_trace(right),
     }
@@ -718,7 +705,7 @@ def _build_report(cfg: GripperConfig, run: _Run) -> GraspReport:
         fingers=[_per_finger_report(cfg, asm.fingers[side]) for side in SIDES],
         base_translation=asm.transmission.base_translation,
         lock_stage=asm.transmission.lock.stage.value,
-        rack_segment=asm.transmission.rack.segment.value,
+        rack_segment=asm.transmission.rack.value,
         steps=run.steps,
         stalled=run.stalled,
         warnings=warnings,

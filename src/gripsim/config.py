@@ -90,7 +90,7 @@ class GripperConfig:
     @property
     def theta1_close_home(self) -> float:
         """theta1 at which opposed fingertips meet with the base at home."""
-        return self.layout.theta1_down + math.asin(self.layout.half_width / self.geometry.L1_rest)
+        return self.theta1_close_at(0.0)
 
     def theta1_close_at(self, base_shift: float) -> float:
         s = (self.layout.half_width + base_shift / 2.0) / self.geometry.L1_rest

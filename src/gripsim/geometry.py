@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-_ABS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Point:
@@ -72,7 +70,7 @@ def _point_segment(px: float, py: float, ax: float, ay: float,
     abx = bx - ax
     aby = by - ay
     denom = abx * abx + aby * aby
-    if denom < _ABS_TOL:
+    if denom == 0.0:
         return math.hypot(px - ax, py - ay), 0.0
     t = ((px - ax) * abx + (py - ay) * aby) / denom
     t = min(1.0, max(0.0, t))

@@ -68,7 +68,6 @@ class QuadraticRoots:
 
     root_lo: float
     root_hi: float
-    discriminant: float
     b: float
     c: float
 
@@ -94,8 +93,7 @@ def _solve_retraction(La: float, Lb: float, Lc: float, near: float, far: float,
             f"far angle {math.degrees(far):.4f} deg give discriminant {disc:.6g}"
         )
     r = math.sqrt(disc)
-    return QuadraticRoots(root_lo=(-b - r) / 2.0, root_hi=(-b + r) / 2.0,
-                          discriminant=disc, b=b, c=c)
+    return QuadraticRoots(root_lo=(-b - r) / 2.0, root_hi=(-b + r) / 2.0, b=b, c=c)
 
 
 def solve_proximal_retraction(geom: LinkageGeometry, theta1: float,
@@ -128,8 +126,7 @@ def solve_proximal_retraction_printed(geom: LinkageGeometry, theta1: float,
             f"printed-form proximal quadratic has discriminant {disc:.6g} < 0"
         )
     r = math.sqrt(disc)
-    return QuadraticRoots(root_lo=(-b - r) / 2.0, root_hi=(-b + r) / 2.0,
-                          discriminant=disc, b=b, c=c)
+    return QuadraticRoots(root_lo=(-b - r) / 2.0, root_hi=(-b + r) / 2.0, b=b, c=c)
 
 
 def solve_middle_retraction(geom: LinkageGeometry, theta3: float,

@@ -135,12 +135,6 @@ class RackLayout:
         return self.b2_end + self.drive_span
 
 
-@dataclass(frozen=True)
-class RackState:
-    position: float
-    segment: RackSegment
-
-
 def rack_segment(position: float, layout: RackLayout) -> RackSegment:
     """Classify a rack-path position; boundaries belong to the left segment."""
     if position < 0.0 or position > layout.c_end:
@@ -180,7 +174,7 @@ class TransmissionParams:
 class TransmissionState:
     """Motor-side state; D1_angle doubles as the fingers' drive angle."""
 
-    rack: RackState
+    rack: RackSegment   # the segment the drive gear meshes
     lock: LockState
     D1_angle: float
 
@@ -265,10 +259,9 @@ def step_transmission(params: TransmissionParams, state: TransmissionState,
 
 def _moved(params: TransmissionParams, d1_angle: float,
            lock: LockState) -> TransmissionState:
-    """The state at a drive angle and lock position, with its rack mesh point."""
-    pos = _rack_position(params, d1_angle, lock)
+    """The state at a drive angle and lock position, with its rack segment."""
     return TransmissionState(
-        rack=RackState(position=pos, segment=rack_segment(pos, params.layout)),
+        rack=rack_segment(_rack_position(params, d1_angle, lock), params.layout),
         lock=lock,
         D1_angle=d1_angle,
     )

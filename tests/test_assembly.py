@@ -92,10 +92,18 @@ def test_flat_square_of_the_same_width_stays_parallel(cfg):
 
 
 def test_empty_scene_closes_fully_without_success(cfg):
-    rep = close_until_stable(build_gripper(cfg), None, "proximal")
+    asm = build_gripper(cfg)
+    rep = close_until_stable(asm, None, "proximal")
     assert rep.aperture_final == pytest.approx(0.0, abs=0.01)
     assert not rep.success
     assert rep.mode == 1
+    # the tips-met re-close lands on the meeting point: the report clamps the
+    # aperture at 0, so a full overshoot step (about -0.07 mm) would read 0 too
+    final = rep.snapshots[-1][1]
+    assert abs(final.aperture()) <= 1e-4
+    rest = asm.fingers[0]
+    two_sided = close_until_stable(replace(asm, fingers=(rest, replace(rest))), None, "proximal")
+    assert two_sided.snapshots[-1][1].aperture().hex() == final.aperture().hex()
 
 
 def test_remote_flat_grasp_is_mode_four(cfg):
@@ -266,10 +274,7 @@ def test_enveloping_during_translation_is_a_classification_error(cfg):
     final = rep.snapshots[-1][1]
     # force an inconsistent state: enveloped fingers with the rack mid-translation
     trans = final.transmission
-    broken = dc_replace(
-        final,
-        transmission=dc_replace(
-            trans, rack=dc_replace(trans.rack, segment=RackSegment.PART_B1)))
+    broken = dc_replace(final, transmission=dc_replace(trans, rack=RackSegment.PART_B1))
     with pytest.raises(ClassificationError):
         classify_mode(broken)
 

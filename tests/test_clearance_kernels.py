@@ -26,8 +26,6 @@ from gripsim.assembly import _BOUND_MARGIN, _LastExact
 from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
 from gripsim.scene import SceneObject, ShapeKind
 
-_ABS_TOL = 1e-12
-
 
 def _dot(u, v):
     return u.x * v.x + u.y * v.y
@@ -44,7 +42,7 @@ def _distance(p, q):
 def ref_point_segment_distance(p, a, b):
     ab = b - a
     denom = _dot(ab, ab)
-    if denom < _ABS_TOL:
+    if denom == 0.0:
         return _distance(p, a), 0.0
     t = _dot(p - a, ab) / denom
     t = min(1.0, max(0.0, t))
@@ -208,34 +206,23 @@ def test_hand_picked_contacts_are_bit_identical():
         assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
 
 
-def _off_segment(p, a, b):
-    """Distance from p to segment ab; unlike the kernels, only an exact point is a point."""
-    ab = b - a
-    denom = _dot(ab, ab)
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, _dot(p - a, ab) / denom))
-    return _distance(p, a + ab.scaled(t))
-
-
 @settings(max_examples=600, deadline=None)
 @given(objects_with_segments())
 def test_the_witness_attains_the_clearance_on_the_segment(case):
     obj, a, b = case
     clear, w = obj.clearance_witness(a, b)
     assert _bits(clear) == _bits(obj.clearance_to_segment(a, b))
-    assert _off_segment(w, a, b) <= 1e-9
+    assert ref_point_segment_distance(w, a, b)[0] <= 1e-9
     crossing = obj.kind is not ShapeKind.CIRCLE and any(
         _ref_segments_intersect(a, b, e1, e2) for e1, e2 in obj._edges)
-    # the kernels read an edge shorter than 1e-6 mm (squared length under
-    # 1e-12) as its first corner, so a slab that thin reads off by up to its
-    # thickness
-    tol = 1e-9 + (obj.thickness if obj.thickness < 1e-6 else 0.0)
-    assert abs(obj.clearance_to_segment(w, w) - (0.0 if crossing else clear)) <= tol
+    assert abs(obj.clearance_to_segment(w, w) - (0.0 if crossing else clear)) <= 1e-9
 
 
 def test_hand_picked_witnesses():
     disc = SceneObject.circle(60.0, y=-70.0)
     rect = SceneObject.rectangle(80.0, 40.0, y=-60.0)
     slab = SceneObject.slab(0.0, 100.0, surface_y=-120.0)
+    thin = SceneObject.slab(1e-6, 1.0, surface_y=16.0, x=-1.0)
     cases = [
         (disc, Point(-50.0, -20.0), Point(50.0, -20.0), 20.0, Point(0.0, -20.0)),
         (disc, Point(40.0, -70.0), Point(40.0, -70.0), 10.0, Point(40.0, -70.0)),
@@ -248,6 +235,10 @@ def test_hand_picked_witnesses():
         # crossing: the crossing point, not the deepest one
         (slab, Point(10.0, -100.0), Point(10.0, -140.0), 0.0, Point(10.0, -120.0)),
         (rect, Point(0.0, -30.0), Point(0.0, -60.0), 0.0, Point(0.0, -40.0)),
+        # on the right edge of a slab 1e-6 mm thick: only a zero-length edge
+        # is read as its first corner
+        (thin, Point(-0.5, 16.000000333), Point(-0.5, 16.000000333), 0.0,
+         Point(-0.5, 16.000000333)),
     ]
     for obj, a, b, clear, witness in cases:
         assert obj.clearance_witness(a, b) == (clear, witness)

@@ -87,6 +87,14 @@ def test_sweep_with_zero_travel_reports_unreachable(tmp_path, capsys):
     assert out.count("unreachable") == 3
 
 
+def test_sweep_with_a_palm_wider_than_the_proximal_bar(tmp_path, capsys):
+    # the fingertips cannot meet at home: mode 1 closes to the end stop
+    cfgfile = _write(tmp_path, "cfg.scn", "[gripper]\nL1_rest = 50\naperture_max = 130\n"
+                     "envelope_floor = 50\nrest_lean_deg = 5\n")
+    assert main(["sweep", "--config", str(cfgfile)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 6
+
+
 def test_modes_lists_the_five_definitions(capsys):
     assert main(["modes"]) == 0
     out = capsys.readouterr().out

@@ -94,22 +94,18 @@ def test_middle_rest_closure_is_exact(cfg):
 
 
 def test_select_root_prefers_continuity_then_positivity(cfg):
-    r = linkage.QuadraticRoots(root_lo=17.01, root_hi=74.23, discriminant=1.0,
-                               b=-91.24, c=1262.7)
+    r = linkage.QuadraticRoots(root_lo=17.01, root_hi=74.23, b=-91.24, c=1262.7)
     assert linkage.select_root(r, 70.0) == 74.23
     assert linkage.select_root(r, 20.0) == 17.01
-    neg = linkage.QuadraticRoots(root_lo=-89.83, root_hi=49.83, discriminant=1.0,
-                                 b=40.0, c=-4476.0)
+    neg = linkage.QuadraticRoots(root_lo=-89.83, root_hi=49.83, b=40.0, c=-4476.0)
     assert linkage.select_root(neg, 55.0) == 49.83
-    both_neg = linkage.QuadraticRoots(root_lo=-5.0, root_hi=-1.0, discriminant=1.0,
-                                      b=6.0, c=5.0)
+    both_neg = linkage.QuadraticRoots(root_lo=-5.0, root_hi=-1.0, b=6.0, c=5.0)
     with pytest.raises(NonPhysicalRootError):
         linkage.select_root(both_neg, 10.0)
 
 
 def test_select_root_tie_breaks_toward_the_lower_root():
-    r = linkage.QuadraticRoots(root_lo=10.0, root_hi=30.0, discriminant=1.0,
-                               b=-40.0, c=300.0)
+    r = linkage.QuadraticRoots(root_lo=10.0, root_hi=30.0, b=-40.0, c=300.0)
     assert linkage.select_root(r, 20.0) == 10.0
 
 

@@ -97,7 +97,7 @@ def test_closing_from_rest_drives_the_crank_not_the_base(tparams):
     assert route is Route.DRIVE
     assert nxt.D1_angle > state.D1_angle
     assert nxt.base_translation == 0.0
-    assert nxt.rack.segment is RackSegment.PART_A
+    assert nxt.rack is RackSegment.PART_A
 
 
 def test_forward_at_the_open_stop_translates_the_base(tparams):
@@ -106,7 +106,7 @@ def test_forward_at_the_open_stop_translates_the_base(tparams):
     assert route is Route.BASE
     assert nxt.base_translation > 0.0
     assert nxt.D1_angle == state.D1_angle
-    assert nxt.rack.segment is RackSegment.PART_B1
+    assert nxt.rack is RackSegment.PART_B1
 
 
 def test_engaged_reverse_closes_at_the_reconfigured_position(tparams):
@@ -119,7 +119,7 @@ def test_engaged_reverse_closes_at_the_reconfigured_position(tparams):
     assert route is Route.DRIVE
     assert nxt.D1_angle > state.D1_angle
     assert nxt.base_translation == state.base_translation
-    assert nxt.rack.segment is RackSegment.PART_C
+    assert nxt.rack is RackSegment.PART_C
 
 
 def test_every_step_changes_exactly_one_energy_path(tparams):
@@ -150,7 +150,7 @@ def test_round_trip_restores_home(tparams):
             break
     assert state.base_translation == 0.0
     assert state.lock.stage is LockStage.NEUTRAL
-    assert state.rack.segment in (RackSegment.PART_A, RackSegment.PART_B1)
+    assert state.rack in (RackSegment.PART_A, RackSegment.PART_B1)
 
 
 def test_base_translation_stays_inside_its_envelope(tparams):
