@@ -35,7 +35,7 @@ from . import linkage
 from . import transmission as tm
 from .config import GripperConfig, default_config
 from .errors import ClassificationError, GripsimError
-from .finger import Behavior, FingerParams, FingerPose, FingerState, Phalanx, PhalanxContact
+from .finger import Behavior, FingerParams, FingerState, Phalanx, PhalanxContact
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
 from .transmission import LockStage, RackSegment, Route, TransmissionState
@@ -68,7 +68,8 @@ class GripperAssembly:
     ``fingers``, ``mounts()`` and ``side_segments`` are indexed by side;
     ``world_segments`` and ``tip`` take a physical finger index 0-2 and map it
     through ``SIDES``.
-    Each state is posed once per instance; ``replace()`` starts an empty cache.
+    The segments are cached per instance (``replace()`` starts an empty cache),
+    and each state object is posed once (``_world_segments``).
     """
 
     config: GripperConfig
@@ -81,10 +82,7 @@ class GripperAssembly:
     @cached_property
     def side_segments(self) -> tuple[Segments, Segments]:
         params = self.config.finger_params()
-        left, right = self.fingers
-        memo = _LastExact() if left is right else None   # poses a shared state once
-        return tuple(_world_segments(params, f, m, memo)
-                     for f, m in zip(self.fingers, self.mounts()))
+        return tuple(_world_segments(params, f, m) for f, m in zip(self.fingers, self.mounts()))
 
     def world_segments(self, i: int) -> Segments:
         return self.side_segments[SIDES[i]]
@@ -133,24 +131,26 @@ def contact_detect(assembly: GripperAssembly,
         for ph, (a, b) in zip(_PHALANGES, segments):
             clear, point = obj.clearance_witness(a, b)
             if clear <= tol:
-                found.append(PhalanxContact(phalanx=ph, point=point,
-                                            penetration=max(0.0, -clear)))
+                found.append(PhalanxContact(phalanx=ph, point=point))
         per_side.append(found)
     return [(i, contact) for i, side in enumerate(SIDES) for contact in per_side[side]]
 
 
-def _world_segments(params: FingerParams, state: FingerState, mount: Mount,
-                    memo: _LastExact | None = None) -> Segments:
+def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> Segments:
     """Pose one finger state and carry its segments into the world frame.
 
-    With ``memo``, the finger-frame pose of the state it last posed is reused.
+    Each state object is posed once per ``params`` object: the finger-frame
+    pose is kept in the state's instance ``__dict__`` (as ``cached_property``
+    keeps a value), so equality, hashing and ``replace()`` ignore it.  Reuse
+    goes by identity, not equality: a state that is merely equal may still
+    pose to other bits (``-0.0 == 0.0``), so it is posed afresh.
     """
-    if memo is not None and memo.posed is state:
-        pose = memo.pose
+    memo = state.__dict__.get("_pose")
+    if memo is not None and memo[0] is params:
+        pose = memo[1]
     else:
         pose = fg.phalanx_poses(params, state)
-        if memo is not None:
-            memo.posed, memo.pose = state, pose
+        state.__dict__["_pose"] = (params, pose)
     c, d = mount.center, mount.x_dir
     o1, o2, o3, tip = [Point(c + d * p.x, p.y) for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
     return ((o1, o2), (o2, o3), (o3, tip))
@@ -158,25 +158,14 @@ def _world_segments(params: FingerParams, state: FingerState, mount: Mount,
 
 @dataclass
 class _LastExact:
-    """One side's world segments and clearances at its last exact evaluation,
-    and the finger-frame pose of the last state it posed.
+    """One side's world segments and clearances at its last exact evaluation.
 
     A phalanx that was in contact then holds ``-inf``, so once released it is
     always computed afresh.
-
-    ``posed`` and ``pose`` let ``_world_segments`` skip re-posing a state that
-    has not changed, as during base translation, when only the mounts move.
-    The state is matched by identity, not equality: ``is`` costs nothing,
-    the stored reference keeps the object alive so no other state can take
-    its place, and a state that is merely equal may still pose to other bits
-    (``-0.0 == 0.0``), so it is posed again.  The pose depends on the finger
-    parameters too, so one record serves one run, hence one config.
     """
 
     segments: Segments = ()
     clearances: tuple[float, ...] = ()
-    posed: FingerState | None = None
-    pose: FingerPose | None = None
 
     def bounds(self, segments: Segments, fixed: frozenset[Phalanx],
                floor: float) -> tuple[float, ...] | None:
@@ -217,7 +206,7 @@ def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
     """
     if obj is None:
         return (math.inf,) * len(_PHALANGES)
-    segments = _world_segments(cfg.finger_params(), state, mount, last)
+    segments = _world_segments(cfg.finger_params(), state, mount)
     fixed = state.contact_fixed
     bounds = last.bounds(segments, fixed, cfg.contact_tol + _BOUND_MARGIN)
     if bounds is not None:
@@ -329,7 +318,7 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
                       obj: SceneObject | None, last: _LastExact) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    segments = _world_segments(cfg.finger_params(), state, mount, last)
+    segments = _world_segments(cfg.finger_params(), state, mount)
     keep = {ph for ph, (a, b) in zip(_PHALANGES, segments)
             if ph in state.contact_fixed
             and obj.clearance_to_segment(a, b) <= 5.0 * cfg.contact_tol}
@@ -453,7 +442,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     # wraps, the crosswise arrangement lets the fingers interleave instead.
     if direction < 0 and all(
             f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers):
-        gap_frac = _gap_fraction(cfg, asm, asm2)
+        gap_frac = _gap_fraction(asm, asm2)
         if gap_frac < 1.0:
             fingers = _each_side(cfg, run, mirrored, mounts, _close_finger,
                                  joint_delta * gap_frac, surface)
@@ -509,8 +498,7 @@ def _last_clear_fraction(cfg: GripperConfig, clear_at) -> float:
     return lo
 
 
-def _gap_fraction(cfg: GripperConfig, before: GripperAssembly,
-                  after: GripperAssembly) -> float:
+def _gap_fraction(before: GripperAssembly, after: GripperAssembly) -> float:
     if after.aperture() >= 0.0:
         return 1.0
     g0 = before.aperture()

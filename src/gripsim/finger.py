@@ -53,7 +53,6 @@ class SpringBank:
 class PhalanxContact:
     phalanx: Phalanx
     point: Point
-    penetration: float
 
 
 @dataclass(frozen=True)

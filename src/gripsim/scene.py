@@ -44,24 +44,25 @@ class SceneObject:
 
     @staticmethod
     def circle(diameter: float, x: float = 0.0, y: float = 0.0) -> "SceneObject":
-        if diameter <= 0.0:
+        if not diameter > 0.0:
             raise ConfigError("diameter", "must be positive")
         return SceneObject(kind=ShapeKind.CIRCLE, diameter=diameter, x=x, y=y)
 
     @staticmethod
     def rectangle(width: float, height: float, x: float = 0.0, y: float = 0.0,
                   rotation: float = 0.0) -> "SceneObject":
-        if width <= 0.0 or height <= 0.0:
-            raise ConfigError("width", "rectangle dimensions must be positive")
+        for name, size in (("width", width), ("height", height)):
+            if not size > 0.0:
+                raise ConfigError(name, "rectangle dimensions must be positive")
         return SceneObject(kind=ShapeKind.RECTANGLE, width=width, height=height,
                            x=x, y=y, rotation=rotation)
 
     @staticmethod
     def slab(thickness: float, width: float, surface_y: float,
              x: float = 0.0) -> "SceneObject":
-        if width <= 0.0:
+        if not width > 0.0:
             raise ConfigError("width", "slab width must be positive")
-        if thickness < 0.0:
+        if not thickness >= 0.0:
             raise ConfigError("thickness", "slab thickness cannot be negative")
         return SceneObject(kind=ShapeKind.SLAB, thickness=thickness, width=width,
                            x=x, y=surface_y + thickness / 2.0,

@@ -305,6 +305,28 @@ def test_bad_step_inputs_are_config_errors_naming_the_field(field, value):
     assert err.value.field == field
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SceneObject.circle(0.0), "diameter"),
+    (lambda: SceneObject.circle(NAN, y=-60.0), "diameter"),
+    (lambda: SceneObject.rectangle(-1.0, 10.0), "width"),
+    (lambda: SceneObject.rectangle(NAN, 10.0), "width"),
+    (lambda: SceneObject.rectangle(10.0, -1.0), "height"),
+    (lambda: SceneObject.rectangle(10.0, NAN), "height"),
+    (lambda: SceneObject.slab(2.0, 0.0, -80.0), "width"),
+    (lambda: SceneObject.slab(2.0, NAN, -80.0), "width"),
+    (lambda: SceneObject.slab(-0.5, 40.0, -80.0), "thickness"),
+    (lambda: SceneObject.slab(NAN, 40.0, -80.0), "thickness"),
+])
+def test_bad_object_sizes_are_config_errors_naming_the_size(make, field):
+    from gripsim.errors import ConfigError
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert err.value.field == field
+
+
 def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg):
     obj = SceneObject.circle(40.0, 0.0, -58.0)
     final = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]

@@ -1,9 +1,10 @@
 """Per-instance cached geometry and parameters must never go stale.
 
 ``SceneObject`` caches its outline, ``GripperConfig`` its derived values and
-resolved parameter sets, and ``GripperAssembly`` its posed world segments in
-the instance ``__dict__``; all three are frozen dataclasses, so a changed
-value is always a new instance with an empty cache.
+resolved parameter sets, ``GripperAssembly`` its posed world segments and
+``FingerState`` its finger-frame pose in the instance ``__dict__``; all four
+are frozen dataclasses, so a changed value is always a new instance with an
+empty cache.
 """
 
 from dataclasses import fields, replace
@@ -145,12 +146,14 @@ def test_frame_svg_reuses_the_poses_of_an_engine_snapshot(cfg, monkeypatch):
 
     monkeypatch.setattr(fg, "phalanx_poses", counted)
     mirrored = build_gripper(cfg)
-    frame_svg(mirrored, obj)
-    assert len(calls) == 1   # both sides hold one state object, posed once
-    calls.clear()
     rest = mirrored.fingers[0]
-    frame_svg(replace(mirrored, fingers=(rest, replace(rest))), obj)
-    assert len(calls) == 2   # equal but distinct states are posed once each
+    frame_svg(mirrored, obj)
+    assert calls == [rest]   # both sides hold one state object, posed once
+    calls.clear()
+    twin = replace(rest)
+    frame_svg(replace(mirrored, fingers=(rest, twin)), obj)
+    assert calls == [twin]   # rest keeps its pose; the equal but distinct twin is posed
     calls.clear()
     frame_svg(snapshot, obj)
+    frame_svg(GripperAssembly(cfg, snapshot.fingers, snapshot.transmission), obj)
     assert calls == []

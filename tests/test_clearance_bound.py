@@ -2,17 +2,30 @@
 
 ``assembly._clearances`` returns lower bounds instead of exact clearances
 while every free phalanx stays clear of contact; the soundness of the bound
-itself is checked against the kernels in ``test_clearance_kernels.py``.  It
-also reuses the finger-frame pose of the state a side posed last.
+itself is checked against the kernels in ``test_clearance_kernels.py``.
+Each finger-state object is posed once per finger-parameter object: the
+pose is kept on the state, so the engine, every assembly built from its
+states and the renderer share it.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import gripsim.finger as fg
-from gripsim.assembly import _clearances, _LastExact, _mounts, build_gripper, run_commands
+from gripsim.assembly import (
+    GripperAssembly,
+    _clearances,
+    _LastExact,
+    _mounts,
+    _Run,
+    _step,
+    build_gripper,
+    run_commands,
+)
+from gripsim.config import build_config
 from gripsim.finger import Phalanx
 from gripsim.report import render_report
 from gripsim.scenario import parse_scenario
@@ -95,29 +108,72 @@ def test_a_phalanx_within_tolerance_is_computed_exactly(cfg, monkeypatch):
 
 
 def test_an_unchanged_state_is_posed_once_at_any_mount(cfg, monkeypatch):
+    calls = _count_pose_calls(monkeypatch)
     asm = build_gripper(cfg)
     state = asm.fingers[0]
     a, b = asm.world_segments(0)[1]   # the middle phalanx
+    assert calls[0] == 1   # both sides hold the rest state object
     # a disc 2 mm off the middle phalanx, on its closing side: a 3 mm base
     # shift away from it leaves no bound above contact_tol, so both mounts
     # are computed exactly
     r = 10.0
     disc = SceneObject.circle(2.0 * r, x=a.x + r + 2.0, y=(a.y + b.y) / 2.0)
     near, far = _mounts(cfg, 0.0)[0], _mounts(cfg, 6.0)[0]
-    fresh = [_clearances(cfg, state, m, disc, _LastExact()) for m in (near, far)]
     last = _LastExact()
-    calls = _count_pose_calls(monkeypatch)
-
-    assert [_clearances(cfg, state, m, disc, last) for m in (near, far)] == fresh
+    exact = [_clearances(cfg, state, m, disc, last) for m in (near, far)]
     assert calls[0] == 1
-    assert last.posed is state
-    assert fresh[1][1] > fresh[0][1]
-    # an equal state that is another object is posed again
+    assert last.segments and exact[1][1] > exact[0][1]
+    assert [_clearances(cfg, state, m, disc, _LastExact()) for m in (near, far)] == exact
+    assert calls[0] == 1
+    # an equal state that is another object is posed again, once
     twin = replace(state)
     assert twin == state and twin is not state
-    assert _clearances(cfg, twin, far, disc, last) == fresh[1]
+    assert [_clearances(cfg, twin, m, disc, _LastExact()) for m in (near, far)] == exact
     assert calls[0] == 2
-    assert last.posed is twin
+    # and posing it leaves the first object's pose in place
+    assert _clearances(cfg, state, far, disc, _LastExact()) == exact[1]
+    assert calls[0] == 2
+
+
+def test_a_state_posed_under_one_config_is_posed_again_under_another(cfg, monkeypatch):
+    other = build_config(rest_lean=math.radians(20.0))
+    assert other.finger_params().theta1_down != cfg.finger_params().theta1_down
+    state = build_gripper(cfg).fingers[0]
+    trans = build_gripper(other).transmission
+    calls = _count_pose_calls(monkeypatch)
+    posed_here = GripperAssembly(cfg, (state, state), trans).side_segments
+    assert calls[0] == 1
+    posed_there = GripperAssembly(other, (state, state), trans).side_segments
+    assert calls[0] == 2
+    twin = replace(state)
+    assert GripperAssembly(other, (twin, twin), trans).side_segments == posed_there
+    assert posed_there != posed_here
+    # the state now holds the other config's pose: back here it is posed again
+    assert GripperAssembly(cfg, (state, state), trans).side_segments == posed_here
+    assert calls[0] == 4
+
+
+def test_an_engine_built_assembly_reads_its_aperture_without_posing(cfg, monkeypatch):
+    disc = SceneObject.circle(40.0, x=0.0, y=-100.0)
+    run = _Run(assembly=build_gripper(cfg), obj=disc)
+    for _ in range(3):
+        assert _step(cfg, run, -1, None, False)
+    asm = run.assembly
+    assert asm.fingers[0].theta1 > cfg.finger_params().theta1_rest
+    calls = _count_pose_calls(monkeypatch)
+    fresh = GripperAssembly(cfg, asm.fingers, asm.transmission)
+    assert fresh.aperture() == asm.aperture()
+    assert calls[0] == 0
+
+
+def test_the_cyl40_run_poses_at_most_once_per_step(scenario_dir, monkeypatch):
+    scn, cfg, gripper, obj = _run_fixture("cyl40_proximal", scenario_dir)
+    calls = _count_pose_calls(monkeypatch)
+    report = run_commands(gripper, obj, scn.build_commands())
+    monkeypatch.undo()
+    assert calls[0] <= report.steps + 1
+    golden = (GOLDEN_DIR / "cyl40_proximal.report.json").read_bytes()
+    assert render_report(scn, cfg, report).encode("utf-8") == golden
 
 
 @pytest.mark.parametrize("name", sorted(POSES_WITHOUT_MEMO))
