@@ -21,6 +21,11 @@ Each per-side change of a step goes through ``_each_side``.  While both
 sides hold one state object in a scene that is its own mirror image
 (``_Run.mirrored``), it advances side 0 only and hands its state to side 1,
 with the bits stepping both sides would give; no other code does.
+
+A step that cannot touch poses nothing: ``_joint_moves`` bounds how far each
+joint can have moved from the two finger states alone, so ``_clearances`` and
+``_gap_fraction`` pose a state only to evaluate it exactly
+(docs/derivations.md, "The motion budget").
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from .transmission import LockStage, RackSegment, Route, TransmissionState
 
 _BISECT_ITERS = 60
 
-# a clearance bound skips the kernels only if it clears contact_tol by this
-# much (mm); kernel rounding on coordinates of a few hundred mm is ~1e-13
+# a bound skips an exact evaluation only if it clears contact_tol (a tip budget:
+# zero aperture) by this much (mm); pose, bound and kernel rounding stay < 1e-11
 _BOUND_MARGIN = 1e-9
 
 # side (0 left, 1 right) of each physical finger; the two right fingers share a state
@@ -156,37 +161,54 @@ def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> S
     return ((o1, o2), (o2, o3), (o3, tip))
 
 
+def _joint_moves(state: FingerState, ref: FingerState) -> tuple[float, float, float]:
+    """Bounds on how far the finger-frame ``o2``, ``o3`` and tip of ``state`` lie
+    from those of ``ref``, from the two states alone: each joint adds its bar's
+    length change and reference length times angle change to the joint before
+    it (chord <= arc; docs/derivations.md, "The motion budget")."""
+    if state is ref:
+        return (0.0, 0.0, 0.0)
+    w2, w2_ref = state.wrap(), ref.wrap()
+    d2 = abs(state.L1 - ref.L1) + ref.L1 * abs(state.theta1 - ref.theta1)
+    d3 = d2 + abs(state.L2 - ref.L2) + ref.L2 * abs(w2 - w2_ref)
+    d4 = d3 + abs(state.L3 - ref.L3) + ref.L3 * abs((w2 + state.theta3) - (w2_ref + ref.theta3))
+    return (d2, d3, d4)
+
+
 @dataclass
 class _LastExact:
-    """One side's world segments and clearances at its last exact evaluation.
+    """One side's finger state, mount centre and clearances at its last exact evaluation.
 
     A phalanx that was in contact then holds ``-inf``, so once released it is
-    always computed afresh.
+    always computed afresh.  The record serves one side of one run, so the
+    finger parameters and the mount's ``x_dir`` are those of the reference.
     """
 
-    segments: Segments = ()
+    state: FingerState | None = None
+    center: float = 0.0
     clearances: tuple[float, ...] = ()
 
-    def bounds(self, segments: Segments, fixed: frozenset[Phalanx],
+    def bounds(self, state: FingerState, center: float, fixed: frozenset[Phalanx],
                floor: float) -> tuple[float, ...] | None:
-        """Lower bounds on the clearances of ``segments``, ``inf`` for a phalanx in
-        ``fixed``; None unless every other phalanx's bound exceeds ``floor``.
+        """Lower bounds on the clearances of ``state`` at mount ``center``, ``inf`` for
+        a phalanx in ``fixed``; None unless every other phalanx's bound exceeds ``floor``.
 
         Clearance is 1-Lipschitz in the displacement of a segment's endpoints,
         and every point of a segment moves at most as far as its farther
-        endpoint, so a phalanx is at least ``c - max(|da|, |db|)`` clear, where
-        ``c`` is its clearance here and ``da``, ``db`` are how far its endpoints
-        moved since (taxicab lengths, which are never shorter than Euclidean).
+        endpoint.  A mount shift moves every joint by ``|dcenter|``, and the
+        joint moves of ``_joint_moves`` grow along the chain, so a phalanx is at
+        least ``c - |dcenter| - d`` clear, where ``c`` is its clearance here and
+        ``d`` bounds the move of its outer joint.
         """
-        if not self.segments:
+        if self.state is None:
             return None
+        shift = abs(center - self.center)
         out = []
-        for ph, (a, b), (ra, rb), c in zip(_PHALANGES, segments, self.segments,
-                                           self.clearances):
+        for ph, c, d in zip(_PHALANGES, self.clearances, _joint_moves(state, self.state)):
             if fixed and ph in fixed:
                 out.append(math.inf)
                 continue
-            lb = c - max(abs(a.x - ra.x) + abs(a.y - ra.y), abs(b.x - rb.x) + abs(b.y - rb.y))
+            lb = c - (shift + d)
             if not lb > floor:
                 return None
             out.append(lb)
@@ -199,21 +221,22 @@ def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
 
     A returned value above ``contact_tol`` may be a lower bound: while the
     bounds from ``last`` (the side's last exact evaluation) keep every phalanx
-    not in contact more than ``contact_tol`` clear, no kernel runs.  Otherwise
-    every clearance is computed exactly and ``last`` is refreshed.  Callers
-    only ask whether a value is negative, under ``contact_tol / 2`` or within
-    ``contact_tol``, which a bound answers as the exact value would.
+    not in contact more than ``contact_tol`` clear, no kernel runs and
+    ``state`` is not posed.  Otherwise ``state`` is posed, every clearance is
+    computed exactly and ``last`` is refreshed.  Callers only ask whether a
+    value is negative, under ``contact_tol / 2`` or within ``contact_tol``,
+    which a bound answers as the exact value would.
     """
     if obj is None:
         return (math.inf,) * len(_PHALANGES)
-    segments = _world_segments(cfg.finger_params(), state, mount)
     fixed = state.contact_fixed
-    bounds = last.bounds(segments, fixed, cfg.contact_tol + _BOUND_MARGIN)
+    bounds = last.bounds(state, mount.center, fixed, cfg.contact_tol + _BOUND_MARGIN)
     if bounds is not None:
         return bounds
+    segments = _world_segments(cfg.finger_params(), state, mount)
     clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
                   for ph, (a, b) in zip(_PHALANGES, segments))
-    last.segments = segments
+    last.state, last.center = state, mount.center
     last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(_PHALANGES, clear))
     return clear
 
@@ -245,6 +268,7 @@ class _Run:
     events: list[str] = field(default_factory=list)
     last_exact: tuple[_LastExact, _LastExact] = field(
         default_factory=lambda: (_LastExact(), _LastExact()))
+    last_gap: GripperAssembly | None = None   # the last assembly whose aperture was read
 
     def snap(self) -> None:
         self.snapshots.append((self.steps, self.assembly))
@@ -442,7 +466,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     # wraps, the crosswise arrangement lets the fingers interleave instead.
     if direction < 0 and all(
             f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers):
-        gap_frac = _gap_fraction(asm, asm2)
+        gap_frac = _gap_fraction(run, asm2)
         if gap_frac < 1.0:
             fingers = _each_side(cfg, run, mirrored, mounts, _close_finger,
                                  joint_delta * gap_frac, surface)
@@ -498,11 +522,22 @@ def _last_clear_fraction(cfg: GripperConfig, clear_at) -> float:
     return lo
 
 
-def _gap_fraction(before: GripperAssembly, after: GripperAssembly) -> float:
-    if after.aperture() >= 0.0:
-        return 1.0
-    g0 = before.aperture()
+def _gap_fraction(run: _Run, after: GripperAssembly) -> float:
+    """Share of the closing step from ``run.assembly`` to ``after`` before the tips
+    meet; 1.0 without posing while the aperture of ``run.last_gap`` less how far
+    the tips and the base can have moved since stays above ``_BOUND_MARGIN``."""
+    ref = run.last_gap
+    if ref is not None:
+        moves = abs(after.transmission.base_translation - ref.transmission.base_translation)
+        for state, ref_state in zip(after.fingers, ref.fingers):
+            moves += _joint_moves(state, ref_state)[2]
+        if ref.aperture() - moves > _BOUND_MARGIN:
+            return 1.0
+    run.last_gap = after
     g1 = after.aperture()
+    if g1 >= 0.0:
+        return 1.0
+    g0 = run.assembly.aperture()
     if g0 <= g1:
         return 0.0
     return max(0.0, g0 / (g0 - g1))

@@ -208,10 +208,10 @@ def build_config(geometry: LinkageGeometry | None = None, **overrides) -> Grippe
     if geometry is None:
         geometry = default_geometry()
     else:
-        # keep the middle rest closure exact whenever L2-side values changed
-        kappa = calibrate.solve_kappa(geometry)
-        geometry = replace(geometry, kappa=kappa)
-    geometry.validate()
+        # validated first: the kappa solve cannot take a non-finite length;
+        # kappa keeps the middle rest closure exact whenever L2-side values changed
+        geometry.validate()
+        geometry = replace(geometry, kappa=calibrate.solve_kappa(geometry))
 
     unknown = set(overrides) - {f.name for f in fields(GripperConfig)}
     if unknown:

@@ -159,7 +159,8 @@ def advance_theta1(params: FingerParams, state: FingerState, delta: float) -> Fi
     """Sweep the drive angle with the parallel idealization (no contact routing)."""
     theta1 = min(max(state.theta1 + delta, params.theta1_rest), params.theta1_max)
     theta2 = params.theta2_rest - (theta1 - params.theta1_rest)
-    return replace(state, theta1=theta1, theta2=theta2)
+    return FingerState(theta1, theta2, state.theta3, state.L1, state.L2, state.L3,
+                       state.behavior, state.contact_fixed, state.alpha_anchor)
 
 
 def parallel_step(params: FingerParams, state: FingerState, drive_delta: float) -> FingerState:
@@ -234,7 +235,8 @@ def envelope_step(params: FingerParams, state: FingerState, delta: float) -> Fin
             return state
         alpha_new = max(stops)
         L1_new = params.L1_min
-    return replace(state, theta2=g.beta - alpha_new, L1=L1_new)
+    return FingerState(state.theta1, g.beta - alpha_new, state.theta3, L1_new, state.L2, state.L3,
+                       state.behavior, state.contact_fixed, state.alpha_anchor)
 
 
 def decouple_step(params: FingerParams, state: FingerState, delta: float) -> FingerState:
@@ -249,7 +251,8 @@ def decouple_step(params: FingerParams, state: FingerState, delta: float) -> Fin
         theta3_new = params.theta3_max
         roots = linkage.solve_middle_retraction(g, theta3_new, g.beta)
         L2_new = linkage.select_root(roots, state.L2)
-    return replace(state, theta3=theta3_new, L2=L2_new)
+    return FingerState(state.theta1, state.theta2, theta3_new, state.L1, L2_new, state.L3,
+                       state.behavior, state.contact_fixed, state.alpha_anchor)
 
 
 def distal_retract(params: FingerParams, state: FingerState,

@@ -56,8 +56,8 @@ class LinkageGeometry:
     def validate(self) -> None:
         for name in ("L1_rest", "L1a", "L1b", "L1c", "L2_rest", "L2a", "L2b",
                      "L2c", "L3_rest", "L3a", "D1", "D2"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, "length must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:   # False for NaN too
+                raise ConfigError(name, "length must be finite and strictly positive")
         if self.beta != RIGHT_ANGLE:
             raise ConfigError("beta", "must be exactly pi/2")
 

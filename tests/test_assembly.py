@@ -327,6 +327,15 @@ def test_bad_object_sizes_are_config_errors_naming_the_size(make, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("field", ["D1", "D2", "L3a", "L2a"])
+@pytest.mark.parametrize("value", [NAN, float("inf")])
+def test_non_finite_link_lengths_are_config_errors_naming_the_length(cfg, field, value):
+    from gripsim.errors import ConfigError
+    with pytest.raises(ConfigError) as err:
+        build_config(geometry=replace(cfg.geometry, **{field: value}))
+    assert err.value.field == field
+
+
 def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg):
     obj = SceneObject.circle(40.0, 0.0, -58.0)
     final = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]

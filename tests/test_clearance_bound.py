@@ -1,8 +1,10 @@
-"""The engine's clearance bound and pose memo: when they skip work, and what they save.
+"""The engine's motion budget and pose memo: when they skip work, and what they save.
 
 ``assembly._clearances`` returns lower bounds instead of exact clearances
-while every free phalanx stays clear of contact; the soundness of the bound
-itself is checked against the kernels in ``test_clearance_kernels.py``.
+while every free phalanx stays clear of contact, and ``_gap_fraction``
+skips the aperture while the tips stay apart; neither poses a state it
+skips.  The soundness of the clearance bound is checked against the
+kernels in ``test_clearance_kernels.py``, that of the tip budget here.
 Each finger-state object is posed once per finger-parameter object: the
 pose is kept on the state, so the engine, every assembly built from its
 states and the renderer share it.
@@ -14,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import gripsim.assembly as asm_mod
 import gripsim.finger as fg
 from gripsim.assembly import (
+    Command,
     GripperAssembly,
+    Verb,
     _clearances,
     _LastExact,
     _mounts,
@@ -37,6 +42,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CALLS_WITHOUT_BOUND = {"box150_translational": 71_490, "cube80_remote": 41_324}
 # phalanx_poses calls of one run_commands pass before the pose memo existed
 POSES_WITHOUT_MEMO = {"box150_translational": 23_906, "cube80_remote": 16_252}
+# a run poses fewer than steps / this many times under the motion budget
+STEPS_PER_POSE = {"cube80_remote": 20, "cyl120_remote": 20, "cyl40_proximal": 10}
 
 
 def _count_kernel_calls(monkeypatch) -> list[int]:
@@ -122,7 +129,7 @@ def test_an_unchanged_state_is_posed_once_at_any_mount(cfg, monkeypatch):
     last = _LastExact()
     exact = [_clearances(cfg, state, m, disc, last) for m in (near, far)]
     assert calls[0] == 1
-    assert last.segments and exact[1][1] > exact[0][1]
+    assert last.state is state and last.center == far.center and exact[1][1] > exact[0][1]
     assert [_clearances(cfg, state, m, disc, _LastExact()) for m in (near, far)] == exact
     assert calls[0] == 1
     # an equal state that is another object is posed again, once
@@ -153,17 +160,26 @@ def test_a_state_posed_under_one_config_is_posed_again_under_another(cfg, monkey
     assert calls[0] == 4
 
 
-def test_an_engine_built_assembly_reads_its_aperture_without_posing(cfg, monkeypatch):
-    disc = SceneObject.circle(40.0, x=0.0, y=-100.0)
-    run = _Run(assembly=build_gripper(cfg), obj=disc)
-    for _ in range(3):
-        assert _step(cfg, run, -1, None, False)
-    asm = run.assembly
-    assert asm.fingers[0].theta1 > cfg.finger_params().theta1_rest
-    calls = _count_pose_calls(monkeypatch)
-    fresh = GripperAssembly(cfg, asm.fingers, asm.transmission)
-    assert fresh.aperture() == asm.aperture()
-    assert calls[0] == 0
+def test_reading_an_engine_built_aperture_poses_each_state_at_most_once(cfg, monkeypatch):
+    # a centred disc mirrors the run, so both sides share one state object;
+    # an off-centre one steps two
+    for x, objects in ((0.0, 1), (5.0, 2)):
+        disc = SceneObject.circle(40.0, x=x, y=-100.0)
+        run = _Run(assembly=build_gripper(cfg), obj=disc)
+        for _ in range(3):
+            assert _step(cfg, run, -1, None, False)
+        asm = run.assembly
+        assert asm.fingers[0].theta1 > cfg.finger_params().theta1_rest
+        assert len({id(f) for f in asm.fingers}) == objects
+        calls = _count_pose_calls(monkeypatch)
+        fresh = GripperAssembly(cfg, asm.fingers, asm.transmission)
+        aperture = fresh.aperture()
+        assert calls[0] <= objects
+        # every later assembly of these states reads the poses already kept
+        assert asm.aperture() == aperture
+        assert GripperAssembly(cfg, asm.fingers, asm.transmission).aperture() == aperture
+        assert calls[0] <= objects
+        monkeypatch.undo()
 
 
 def test_the_cyl40_run_poses_at_most_once_per_step(scenario_dir, monkeypatch):
@@ -196,3 +212,64 @@ def test_the_bound_halves_the_clearance_calls(name, scenario_dir, monkeypatch):
     assert calls[0] < CALLS_WITHOUT_BOUND[name] / 2
     golden = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
     assert render_report(scn, cfg, report).encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("name", sorted(STEPS_PER_POSE))
+def test_the_motion_budget_poses_a_run_rarely(name, scenario_dir, monkeypatch):
+    scn, cfg, gripper, obj = _run_fixture(name, scenario_dir)
+    calls = _count_pose_calls(monkeypatch)
+    report = run_commands(gripper, obj, scn.build_commands())
+    monkeypatch.undo()
+    assert calls[0] < report.steps / STEPS_PER_POSE[name]
+    golden = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+    assert render_report(scn, cfg, report).encode("utf-8") == golden
+
+
+def test_the_tip_budget_is_exact_under_a_pure_base_shift(cfg):
+    # tips crossed by 7 mm at base 0: a base shift alone sets the aperture,
+    # and the budget then bounds its fall exactly
+    params = cfg.finger_params()
+    crossed = fg.advance_theta1(params, fg.rest_pose(params), 1.0)
+    trans = build_gripper(cfg).transmission
+
+    def at(base):
+        lock = replace(trans.lock, travel=base)
+        return GripperAssembly(cfg, (crossed, crossed), replace(trans, lock=lock))
+    base = 2.0 - at(0.0).aperture()
+    ref = at(base)
+    assert 1.99 < ref.aperture() < 2.01
+    run = _Run(assembly=ref, obj=None, last_gap=ref)
+    assert asm_mod._gap_fraction(run, at(base - 1.9)) == 1.0
+    assert run.last_gap is ref
+    # 0.2 mm past meeting: the budget runs out, and the exact aperture answers
+    after = at(base - 2.2)
+    assert 0.0 < asm_mod._gap_fraction(run, after) < 1.0
+    assert run.last_gap is after
+
+
+@pytest.mark.parametrize("obj, commands", [
+    (None, [Command(Verb.CLOSE)]),
+    # off centre: both sides are stepped, and no phalanx reaches the disc
+    (SceneObject.circle(10.0, x=30.0, y=-300.0), [Command(Verb.CLOSE)]),
+    # the last exact aperture is read with the base shifted out; the closing
+    # steps come after it has slid back in
+    (None, [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE, 200), Command(Verb.OPEN),
+            Command(Verb.RELEASE_RECONFIGURE)]),
+], ids=["empty", "off_centre", "base_shifted"])
+def test_a_skipped_aperture_keeps_the_tips_apart(cfg, obj, commands, monkeypatch):
+    gap_fraction = asm_mod._gap_fraction
+    skipped = [0]
+
+    def checked(run, after):
+        ref = run.last_gap
+        frac = gap_fraction(run, after)
+        if ref is not None and run.last_gap is ref:
+            skipped[0] += 1
+            assert frac == 1.0
+            assert GripperAssembly(cfg, after.fingers, after.transmission).aperture() >= 0.0
+        return frac
+    monkeypatch.setattr(asm_mod, "_gap_fraction", checked)
+    report = run_commands(build_gripper(cfg), obj, commands)
+    # the budget ran out before the tips met, and the exact aperture took over
+    assert report.aperture_final == 0.0
+    assert skipped[0] > 1000

@@ -13,16 +13,21 @@ the same clearance bits together with a point of the segment that attains it.
 ``segment_segment_distance`` returns such a point's parameter too; only its
 distance is compared against the reference here.
 
-The engine skips the kernels while a Lipschitz lower bound keeps a phalanx
-clear of contact; the last test checks that bound against the kernels.
+The engine skips the kernels, and the pose, while the motion budget's lower
+bound, read from two finger states, keeps a phalanx clear of contact; the
+last test checks that bound against the kernels over drawn pairs of states.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gripsim.assembly import _BOUND_MARGIN, _LastExact
+import gripsim.finger as fg
+from gripsim.assembly import Mount, _clearances, _LastExact
+from gripsim.config import default_config
+from gripsim.finger import Behavior, FingerState, Phalanx
 from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
 from gripsim.scene import SceneObject, ShapeKind
 
@@ -244,41 +249,127 @@ def test_hand_picked_witnesses():
         assert obj.clearance_witness(a, b) == (clear, witness)
 
 
+CFG = default_config()
+PARAMS = CFG.finger_params()
+TOL = CFG.contact_tol
+_ENVELOPING = (Behavior.ENVELOPING_PROXIMAL, Behavior.ENVELOPING_DECOUPLED)
+_LENGTHS = ((PARAMS.L1_min, PARAMS.geometry.L1_rest), (PARAMS.L2_min, PARAMS.geometry.L2_rest),
+            (PARAMS.L3_min, PARAMS.geometry.L3_rest))
+_MOVES = ("all", "mount", "theta1", "theta2", "theta3", "alpha_anchor", "L1", "L2", "L3")
+
+
 @st.composite
-def displaced_phalanges(draw):
-    """An object, a contact tolerance, three segments and the same segments displaced.
+def finger_states(draw):
+    """Any behaviour, drive angle, wrap, distal angle, bar lengths in [end stop,
+    rest] and set of fixed phalanges; the pose need not be reachable."""
+    behavior = draw(st.sampled_from(Behavior))
+    theta1 = draw(st.floats(PARAMS.theta1_rest, PARAMS.theta1_max))
+    if behavior in _ENVELOPING:
+        anchor = draw(st.floats(PARAMS.alpha_rest - 1.0, PARAMS.alpha_rest + 1.0))
+        theta2 = math.pi / 2.0 - anchor + draw(st.floats(0.0, 1.6))   # wrap in [0, 1.6]
+    else:
+        anchor = None
+        theta2 = PARAMS.theta2_rest - (theta1 - PARAMS.theta1_rest)
+    theta3 = draw(st.floats(0.0, PARAMS.theta3_max))
+    lengths = [draw(st.floats(lo, hi)) for lo, hi in _LENGTHS]
+    fixed = draw(st.one_of(st.just(frozenset()), st.frozensets(st.sampled_from(Phalanx))))
+    return FingerState(theta1, theta2, theta3, *lengths, behavior, fixed, anchor)
 
-    Each endpoint moves a taxicab length of up to 1.2 times its segment's
-    clearance beyond the tolerance, often just under it, so the bound lands
-    on both sides of the tolerance and close to it.
+
+def _joints(state, mount):
+    pose = fg.phalanx_poses(PARAMS, state)
+    return [Point(mount.center + mount.x_dir * p.x, p.y)
+            for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
+
+
+@st.composite
+def objects_near(draw, joints):
+    """A circle, rectangle (often rotated) or slab whose edge lies a few mm from
+    a point of the finger, on any side of it or straight beyond the tip, or
+    overlaps it."""
+    if draw(st.booleans()):
+        a, p = joints[2], joints[3]
+        angle = math.atan2(p.y - a.y, p.x - a.x)
+    else:
+        k = draw(st.integers(0, 2))
+        p = joints[k] + (joints[k + 1] - joints[k]).scaled(draw(fractions))
+        angle = draw(st.one_of(st.sampled_from([0.0, math.pi, -math.pi / 2.0, math.pi / 2.0]),
+                               st.floats(-math.pi, math.pi)))
+    u = Point(math.cos(angle), math.sin(angle))
+    gap = draw(st.one_of(st.floats(-1.0, 30.0), st.floats(0.0, 2.0)))
+    kind = draw(st.sampled_from(ShapeKind))
+    if kind is ShapeKind.CIRCLE:
+        r = draw(st.floats(1.0, 80.0))
+        c = p + u.scaled(r + gap)
+        return SceneObject.circle(2.0 * r, x=c.x, y=c.y)
+    w, h = draw(st.floats(1.0, 120.0)), draw(st.floats(1.0, 120.0))
+    if kind is ShapeKind.RECTANGLE:
+        c = p + u.scaled((w if abs(u.x) >= abs(u.y) else h) / 2.0 + gap)
+        rotation = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+        return SceneObject.rectangle(w, h, x=c.x, y=c.y, rotation=rotation)
+    thickness = draw(st.floats(0.0, 20.0))
+    if abs(u.x) >= abs(u.y):   # beside the point
+        return SceneObject.slab(thickness, w, surface_y=p.y - thickness / 2.0,
+                                x=p.x + math.copysign(w / 2.0 + gap, u.x))
+    return SceneObject.slab(thickness, w, surface_y=p.y - gap - thickness, x=p.x)
+
+
+@st.composite
+def moved_fingers(draw):
+    """A reference state and mount, an object near the finger, and a second
+    state and mount part of the way toward another drawn state.
+
+    Either everything moves (behaviour, fixed set and all), or only the mount
+    or one field, which makes the bound nearly tight.  The share of the way is
+    chosen so that the farthest joint moves up to 1.2 times the reference's
+    least free clearance beyond the tolerance, often 0.98 to 1.05 times it, so
+    the bound lands on both sides of the tolerance and close to it.
     """
-    obj = draw(scene_objects())
-    tol = draw(st.floats(1e-3, 5.0))
-    share = st.one_of(st.floats(0.0, 1.2), st.floats(0.99, 1.0))
-    ref, moved = [], []
-    for _ in range(3):
-        a, b = draw(segments())
-        reach = max(obj.clearance_to_segment(a, b) - tol, 1.0)
+    ref, other = draw(finger_states()), draw(finger_states())
+    x_dir = draw(st.sampled_from([1.0, -1.0]))   # the left side or the right
+    ref_mount = Mount(-x_dir * draw(st.floats(20.0, 60.0)), x_dir)
+    obj = draw(objects_near(_joints(ref, ref_mount)))
+    move = draw(st.sampled_from(_MOVES))
+    shift = draw(st.floats(-20.0, 20.0)) if move in ("all", "mount") else 0.0
+    fields = [f for f in _MOVES[2:] if move in ("all", f)]
+    if ref.alpha_anchor is None or other.alpha_anchor is None:
+        fields = [f for f in fields if f != "alpha_anchor"]
+    base = other if move == "all" else ref
 
-        def shifted(p):
-            r = draw(share) * reach
-            u = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), fractions))
-            sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
-            return Point(p.x + sx * r * u, p.y + sy * r * (1.0 - u))
-        ref.append((a, b))
-        moved.append((shifted(a), shifted(b)))
-    return obj, tol, tuple(ref), tuple(moved)
+    def toward(k):
+        values = {f: getattr(ref, f) + k * (getattr(other, f) - getattr(ref, f))
+                  for f in fields}
+        return replace(base, **values), Mount(ref_mount.center + k * shift, x_dir)
+
+    free = [c - TOL for ph, c in zip(Phalanx, _exact(obj, ref, ref_mount))
+            if ph not in ref.contact_fixed]
+    far = max(_distance(a, b) for a, b in zip(_joints(ref, ref_mount), _joints(*toward(1.0))))
+    share = draw(st.one_of(st.floats(0.0, 1.2), st.floats(0.98, 1.05)))
+    k = min(1.0, share * max(min(free, default=0.0), 0.0) / far) if far > 0.0 else 1.0
+    return obj, ref, ref_mount, *toward(k)
+
+
+def _exact(obj, state, mount):
+    j = _joints(state, mount)
+    return [obj.clearance_to_segment(a, b) for a, b in zip(j, j[1:])]
 
 
 @settings(max_examples=800, deadline=None)
-@given(displaced_phalanges())
+@given(moved_fingers())
 def test_a_skipped_clearance_check_could_not_have_found_contact(case):
-    obj, tol, ref, moved = case
-    last = _LastExact(ref, tuple(obj.clearance_to_segment(a, b) for a, b in ref))
-    bounds = last.bounds(moved, frozenset(), tol + _BOUND_MARGIN)
-    if bounds is None:
+    obj, ref, ref_mount, moved, mount = case
+    last = _LastExact()
+    _clearances(CFG, ref, ref_mount, obj, last)
+    assert last.state is ref
+    got = _clearances(CFG, moved, mount, obj, last)
+    exact = _exact(obj, moved, mount)
+    fixed = moved.contact_fixed
+    if last.state is moved:
+        assert got == tuple(math.inf if ph in fixed else c for ph, c in zip(Phalanx, exact))
         return
-    for (a, b), bound in zip(moved, bounds):
-        exact = obj.clearance_to_segment(a, b)
-        assert exact > tol
-        assert bound <= exact + 1e-9
+    for ph, bound, c in zip(Phalanx, got, exact):
+        if ph in fixed:
+            assert bound == math.inf
+            continue
+        assert c > TOL
+        assert bound <= c + 1e-9
