@@ -125,15 +125,19 @@ def rest_pose(params: FingerParams) -> FingerState:
 
 
 def phalanx_poses(params: FingerParams, state: FingerState) -> FingerPose:
-    psi = state.theta1 - params.theta1_down
-    o1 = Point(0.0, 0.0)
-    o2 = Point(state.L1 * math.sin(psi), -state.L1 * math.cos(psi))
-    w2 = state.wrap()
-    d2 = Point(math.sin(w2), -math.cos(w2))
-    o3 = o2 + d2.scaled(state.L2)
+    o2, o3, w2 = _middle_chain(params, state)
     w3 = w2 + state.theta3
     tip = o3 + Point(math.sin(w3), -math.cos(w3)).scaled(state.L3)
-    return FingerPose(o1=o1, o2=o2, o3=o3, tip=tip)
+    return FingerPose(o1=Point(0.0, 0.0), o2=o2, o3=o3, tip=tip)
+
+
+def _middle_chain(params: FingerParams, state: FingerState) -> tuple[Point, Point, float]:
+    """The PIP and DIP joints ``o2`` and ``o3`` and the middle's world wrap."""
+    psi = state.theta1 - params.theta1_down
+    o2 = Point(state.L1 * math.sin(psi), -state.L1 * math.cos(psi))
+    w2 = state.wrap()
+    o3 = o2 + Point(math.sin(w2), -math.cos(w2)).scaled(state.L2)
+    return o2, o3, w2
 
 
 def coupler_angle_via_fourbar(params: FingerParams, state: FingerState) -> float:
@@ -258,11 +262,11 @@ def decouple_step(params: FingerParams, state: FingerState, delta: float) -> Fin
 def distal_retract(params: FingerParams, state: FingerState,
                    surface_height: float) -> FingerState:
     """Shorten the distal bar exactly enough to keep the fingertip on the surface."""
-    pose = phalanx_poses(params, state)
-    natural_tip = pose.o3.y - params.geometry.L3_rest
+    o3_y = _middle_chain(params, state)[1].y
+    natural_tip = o3_y - params.geometry.L3_rest
     if natural_tip >= surface_height:
         return replace(state, L3=params.geometry.L3_rest)
-    required = pose.o3.y - surface_height
+    required = o3_y - surface_height
     if required < params.L3_min - 1e-9:
         raise SurfaceTooHighError(
             f"surface needs distal length {required:.3f} mm, below the "

@@ -40,30 +40,68 @@ def segment_segment_distance(a1: Point, a2: Point, b1: Point,
     a1 (t = 0), a2 (t = 1) and the projections of b1 and b2 onto a1a2
     (5.1.2).
     """
+    # One flat body: the four orientations and the four endpoint projections
+    # are written out on shared differences.  Each keeps the operations, in
+    # order, of the separate calls it replaces, so the bits are theirs.
     a1x, a1y, a2x, a2y = a1.x, a1.y, a2.x, a2.y
     b1x, b1y, b2x, b2y = b1.x, b1.y, b2.x, b2.y
-    d1 = _orient(b1x, b1y, b2x, b2y, a1x, a1y)
-    d2 = _orient(b1x, b1y, b2x, b2y, a2x, a2y)
-    d3 = _orient(a1x, a1y, a2x, a2y, b1x, b1y)
-    d4 = _orient(a1x, a1y, a2x, a2y, b2x, b2y)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
-        return 0.0, d1 / (d1 - d2)
-    d, t = _point_segment(a1x, a1y, b1x, b1y, b2x, b2y)[0], 0.0
-    dist = _point_segment(a2x, a2y, b1x, b1y, b2x, b2y)[0]
+    ux, uy = a2x - a1x, a2y - a1y          # a1 -> a2
+    vx, vy = b2x - b1x, b2y - b1y          # b1 -> b2
+    p1x, p1y = a1x - b1x, a1y - b1y        # b1 -> a1
+    p2x, p2y = a2x - b1x, a2y - b1y        # b1 -> a2
+    q1x, q1y = b1x - a1x, b1y - a1y        # a1 -> b1
+    q2x, q2y = b2x - a1x, b2y - a1y        # a1 -> b2
+    d1 = vx * p1y - vy * p1x
+    d2 = vx * p2y - vy * p2x
+    if (d1 > 0.0 > d2) or (d1 < 0.0 < d2):
+        d3 = ux * q1y - uy * q1x
+        d4 = ux * q2y - uy * q2x
+        if (d3 > 0.0 > d4) or (d3 < 0.0 < d4):
+            return 0.0, d1 / (d1 - d2)
+    # a1 and a2 against b1b2
+    denom = vx * vx + vy * vy
+    if denom == 0.0:
+        d = math.hypot(p1x, p1y)
+        dist = math.hypot(p2x, p2y)
+    else:
+        s = (p1x * vx + p1y * vy) / denom
+        s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+        d = math.hypot(a1x - (b1x + vx * s), a1y - (b1y + vy * s))
+        s = (p2x * vx + p2y * vy) / denom
+        s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+        dist = math.hypot(a2x - (b1x + vx * s), a2y - (b1y + vy * s))
+    t = 0.0
     if dist < d:
         d, t = dist, 1.0
-    dist, at = _point_segment(b1x, b1y, a1x, a1y, a2x, a2y)
+    # b1 and b2 against a1a2
+    denom = ux * ux + uy * uy
+    if denom == 0.0:
+        dist = math.hypot(q1x, q1y)
+        if dist < d:
+            d, t = dist, 0.0
+        dist = math.hypot(q2x, q2y)
+        if dist < d:
+            d, t = dist, 0.0
+        return d, t
+    s = (q1x * ux + q1y * uy) / denom
+    s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+    dist = math.hypot(b1x - (a1x + ux * s), b1y - (a1y + uy * s))
     if dist < d:
-        d, t = dist, at
-    dist, at = _point_segment(b2x, b2y, a1x, a1y, a2x, a2y)
+        d, t = dist, s
+    s = (q2x * ux + q2y * uy) / denom
+    s = (s if s < 1.0 else 1.0) if s > 0.0 else 0.0
+    dist = math.hypot(b2x - (a1x + ux * s), b2y - (a1y + uy * s))
     if dist < d:
-        d, t = dist, at
+        d, t = dist, s
     return d, t
 
 
-# The float kernels below take coordinates so the hot clearance path makes
-# no Point objects.  Their arithmetic order is fixed: reports and frames are
-# compared byte for byte against goldens.
+# The clearance kernels fix their arithmetic order: reports and frames are
+# compared byte for byte against goldens.  ``_point_segment`` takes floats so
+# the circle path makes no Point objects.  ``segment_segment_distance`` calls
+# no helper: it repeats that projection's operations in its own body, and it
+# clamps with ``(t if t < 1.0 else 1.0) if t > 0.0 else 0.0``, which is
+# ``min(1.0, max(0.0, t))`` for every float, -0.0 and NaN included.
 
 def _point_segment(px: float, py: float, ax: float, ay: float,
                    bx: float, by: float) -> tuple[float, float]:
@@ -75,10 +113,6 @@ def _point_segment(px: float, py: float, ax: float, ay: float,
     t = ((px - ax) * abx + (py - ay) * aby) / denom
     t = min(1.0, max(0.0, t))
     return math.hypot(px - (ax + abx * t), py - (ay + aby * t)), t
-
-
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def rotate(p: Point, angle: float) -> Point:

@@ -225,6 +225,19 @@ def test_the_motion_budget_poses_a_run_rarely(name, scenario_dir, monkeypatch):
     assert render_report(scn, cfg, report).encode("utf-8") == golden
 
 
+@pytest.mark.parametrize("name", ["cardboard_thin", "ruler_thin"])
+def test_a_thin_pick_poses_only_for_exact_evaluations(name, scenario_dir, monkeypatch):
+    # a tip riding the surface is evaluated exactly on both sides every step;
+    # distal_retract reads the DIP joint without posing the finger
+    scn, cfg, gripper, obj = _run_fixture(name, scenario_dir)
+    calls = _count_pose_calls(monkeypatch)
+    report = run_commands(gripper, obj, scn.build_commands())
+    monkeypatch.undo()
+    assert calls[0] <= 2 * report.steps + 1
+    golden = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+    assert render_report(scn, cfg, report).encode("utf-8") == golden
+
+
 def test_the_tip_budget_is_exact_under_a_pure_base_shift(cfg):
     # tips crossed by 7 mm at base 0: a base shift alone sets the aperture,
     # and the budget then bounds its fall exactly

@@ -10,8 +10,11 @@ tells -0.0 from 0.0.
 
 Contact markers ask ``SceneObject.clearance_witness``, which must return
 the same clearance bits together with a point of the segment that attains it.
-``segment_segment_distance`` returns such a point's parameter too; only its
-distance is compared against the reference here.
+``segment_segment_distance`` returns such a point's parameter ``t`` too: the
+crossing point's, or else that of the first least of a1, a2 and the
+projections of b1 and b2.  The reference returns the same ``t``, and both the
+distance and ``t`` are compared bit for bit, on drawn segments and on
+hand-picked degenerate pairs (zero-length, collinear, touching, -0.0).
 
 The engine skips the kernels, and the pose, while the motion budget's lower
 bound, read from two finger states, keeps a phalanx clear of contact; the
@@ -21,7 +24,7 @@ last test checks that bound against the kernels over drawn pairs of states.
 import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gripsim.finger as fg
@@ -68,13 +71,17 @@ def _ref_segments_intersect(a1, a2, b1, b2):
 
 
 def ref_segment_segment_distance(a1, a2, b1, b2):
+    """The distance and the parameter on a1a2 of the crossing point, or else of
+    the first least of a1, a2 and the projections of b1 and b2."""
     if _ref_segments_intersect(a1, a2, b1, b2):
-        return 0.0
+        d1 = _ref_orient(b1, b2, a1)
+        return 0.0, d1 / (d1 - _ref_orient(b1, b2, a2))
     return min(
-        ref_point_segment_distance(a1, b1, b2)[0],
-        ref_point_segment_distance(a2, b1, b2)[0],
-        ref_point_segment_distance(b1, a1, a2)[0],
-        ref_point_segment_distance(b2, a1, a2)[0],
+        (ref_point_segment_distance(a1, b1, b2)[0], 0.0),
+        (ref_point_segment_distance(a2, b1, b2)[0], 1.0),
+        ref_point_segment_distance(b1, a1, a2),
+        ref_point_segment_distance(b2, a1, a2),
+        key=lambda candidate: candidate[0],
     )
 
 
@@ -103,7 +110,7 @@ def ref_clearance_to_segment(obj, a, b):
         return dist - obj.diameter / 2.0
     corners = _ref_corners(obj)
     edges = list(zip(corners, corners[1:] + corners[:1]))
-    d = min(ref_segment_segment_distance(a, b, e1, e2) for e1, e2 in edges)
+    d = min(ref_segment_segment_distance(a, b, e1, e2)[0] for e1, e2 in edges)
     if d == 0.0:
         return 0.0
     if _ref_point_in_polygon(a, corners) and _ref_point_in_polygon(b, corners):
@@ -177,9 +184,53 @@ def test_point_segment_distance_is_bit_identical(p, seg):
 
 @settings(max_examples=400, deadline=None)
 @given(segments(), segments())
+# both segments zero-length, apart and at one point
+@example((Point(1.0, 2.0), Point(1.0, 2.0)), (Point(4.0, 6.0), Point(4.0, 6.0)))
+@example((Point(1.0, 2.0), Point(1.0, 2.0)), (Point(1.0, 2.0), Point(1.0, 2.0)))
+# exactly one zero-length: beside, beyond an end, and on the other segment
+@example((Point(3.0, 1.0), Point(3.0, 1.0)), (Point(0.0, 0.0), Point(10.0, 0.0)))
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(12.0, 1.0), Point(12.0, 1.0)))
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(4.0, 0.0), Point(4.0, 0.0)))
+# collinear: overlapping, nested, touching end to end, and apart
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(5.0, 0.0), Point(15.0, 0.0)))
+@example((Point(0.0, 0.0), Point(10.0, 10.0)), (Point(2.0, 2.0), Point(3.0, 3.0)))
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(10.0, 0.0), Point(20.0, 0.0)))
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(14.0, 0.0), Point(20.0, 0.0)))
+# an endpoint exactly on the other segment, so one orientation is 0.0
+@example((Point(5.0, 0.0), Point(5.0, 5.0)), (Point(0.0, 0.0), Point(10.0, 0.0)))
+@example((Point(0.0, 0.0), Point(10.0, 0.0)), (Point(5.0, -5.0), Point(5.0, 0.0)))
+# the same on slanted segments, where the crossing's t would differ from the
+# projection's in the last bit, or read -0.0
+@example((Point(16.4, -39.2), Point(-33.6, 34.0)), (Point(-1.0, -47.0), Point(-18.6, 12.04)))
+@example((Point(-18.6, 12.04), Point(-1.0, -47.0)), (Point(16.4, -39.2), Point(-33.6, 34.0)))
+@example((Point(-49.6, 43.8), Point(12.8, 24.8)),
+         (Point(-16.3, -46.9), Point(-5.920000000000002, 30.5)))
+@example((Point(16.2, -4.5), Point(40.3, -14.9)),
+         (Point(37.89, -13.860000000000001), Point(-1.3, -27.8)))
+@example((Point(0.2, 40.1), Point(37.1, -13.6)),
+         (Point(26.029999999999998, 2.510000000000005), Point(40.8, -7.6)))
+# an endpoint whose orientation reads 0.0 while its projection reads a few
+# 1e-15 mm away: not a crossing, so the distance is not 0.0
+@example((Point(-40.0, 12.9), Point(27.333333333333336, 42.333333333333336)),
+         (Point(45.2, 42.7), Point(-8.4, 41.6)))
+@example((Point(27.333333333333336, 42.333333333333336), Point(-40.0, 12.9)),
+         (Point(-8.4, 41.6), Point(45.2, 42.7)))
+@example((Point(27.333333333333336, 42.333333333333336), Point(-40.0, 12.9)),
+         (Point(45.2, 42.7), Point(-8.4, 41.6)))
+@example((Point(-40.0, 12.9), Point(27.333333333333336, 42.333333333333336)),
+         (Point(-8.4, 41.6), Point(45.2, 42.7)))
+# crossing through a vertex: the other segment's end, and a shared end
+@example((Point(-1.0, -1.0), Point(1.0, 1.0)), (Point(0.0, 0.0), Point(2.0, -2.0)))
+@example((Point(0.0, 0.0), Point(4.0, 0.0)), (Point(0.0, 0.0), Point(0.0, 4.0)))
+# -0.0 coordinates, against 0.0 and in a zero-length segment
+@example((Point(-0.0, -0.0), Point(0.0, 5.0)), (Point(0.0, 0.0), Point(-0.0, -3.0)))
+@example((Point(-0.0, 1.0), Point(0.0, 1.0)), (Point(-2.0, -0.0), Point(2.0, 0.0)))
+@example((Point(-1.0, -0.0), Point(1.0, 0.0)), (Point(-0.0, -1.0), Point(0.0, 1.0)))
+# a NaN coordinate: no candidate is less than a NaN first one
+@example((Point(math.nan, 0.0), Point(1.0, 1.0)), (Point(0.0, 0.0), Point(2.0, 0.0)))
 def test_segment_segment_distance_is_bit_identical(s1, s2):
-    assert _bits(segment_segment_distance(*s1, *s2)[0]) == \
-        _bits(ref_segment_segment_distance(*s1, *s2))
+    assert _bits(*segment_segment_distance(*s1, *s2)) == \
+        _bits(*ref_segment_segment_distance(*s1, *s2))
 
 
 @settings(max_examples=600, deadline=None)

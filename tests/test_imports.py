@@ -1,9 +1,11 @@
-"""Every module-level import in the library is used by the module that makes it.
+"""Every module-level import in the library is used by the module that makes it,
+and every private module-level function or class is used by the library.
 
 No linter ships with the test environment, so this walks each module's syntax
-tree instead.  ``__init__.py`` is exempt: its imports are the package's
-public re-exports.  The library also runs without numpy and scipy, which only
-the tests use.
+tree instead.  ``__init__.py`` is exempt from the import check: its imports
+are the package's public re-exports.  A private name that only a test reads
+is dead library code.  The library also runs without numpy and scipy, which
+only the tests use.
 """
 
 import ast
@@ -30,7 +32,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used_names(tree: ast.Module) -> set[str]:
+def _used_names(tree: ast.AST) -> set[str]:
     """Names the module reads, including those inside string annotations."""
     used = set()
     for node in ast.walk(tree):
@@ -55,6 +57,30 @@ def test_module_uses_every_import(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """Module-level functions and classes named ``_x`` (dunders aside)."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names read in ``node``, as bare names, attributes or string annotations."""
+    return _used_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_every_private_definition_is_used_by_the_library():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    # the names each module-level statement reads, so a definition's own body
+    # (a recursive call, say) does not count as a use of it
+    reads = [(name, stmt, _referenced_names(stmt))
+             for name, tree in trees.items() for stmt in tree.body]
+    unused = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in trees.items() for node in _private_definitions(tree)
+              if not any(node.name in used for _, stmt, used in reads if stmt is not node)]
+    assert not unused, f"private definitions nothing in the library uses: {unused}"
 
 
 _RUN_WITHOUT_NUMPY = """
