@@ -18,9 +18,10 @@ the phalanx that attains the clearance (the crossing point for a crossing
 phalanx).
 
 Each per-side change of a step goes through ``_each_side``.  While both
-sides hold one state object in a scene that is its own mirror image
-(``_Run.mirrored``), it advances side 0 only and hands its state to side 1,
-with the bits stepping both sides would give; no other code does.
+sides hold one state object in a scene that is its own mirror image (no
+object, or a centred and unrotated one; ``_Run.mirrored``), it advances
+side 0 only and hands its state to side 1, with the bits stepping both
+sides would give; no other code does.
 
 A step that cannot touch poses nothing: ``_joint_moves`` bounds how far each
 joint can have moved from the two finger states alone, so ``_clearances`` and
@@ -277,14 +278,13 @@ class _Run:
         """Both sides hold one state object and the scene is its own mirror image.
 
         Side 1's world x is then side 0's negated exactly (mounts ``±h``,
-        ``x_dir = ±1``), and the clearance to no object or to a circle at
-        x = 0 is even in x bit for bit (docs/derivations.md).  A centred
-        rectangle or slab is not: the mirror of an edge is walked from its other
-        end, so a distance along it can round differently in the last bit.
+        ``x_dir = ±1``), and the clearance to no object or to a centred,
+        unrotated one (``SceneObject.mirror_symmetric``) is even in x bit for
+        bit: a circle's by its arithmetic, a rectangle's or slab's because the
+        kernel measures a +x segment as its mirror image (docs/derivations.md).
         """
         left, right = self.assembly.fingers
-        obj = self.obj
-        return left is right and (obj is None or obj.kind is ShapeKind.CIRCLE and obj.x == 0.0)
+        return left is right and (self.obj is None or self.obj.mirror_symmetric)
 
 
 def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,

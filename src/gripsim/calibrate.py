@@ -108,8 +108,9 @@ def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
 
     The first least length on ``np.linspace``'s 4001-point grid brackets a
     golden-section search; angles where the linkage cannot close, or closes
-    only to a non-positive upper root, are skipped, both on the grid and as
-    bracket ends.
+    only to a non-positive upper root, are skipped.  A least length next to
+    such an angle is where the linkage starts to close, not a minimum of the
+    middle length, so that geometry is a ``ConfigError`` on ``L2c``.
     """
     lo, hi = -math.pi / 2.0, max(geom.kappa, 0.1)
     step = (hi - lo) / 4000
@@ -123,10 +124,9 @@ def _middle_min(geom: LinkageGeometry) -> tuple[float, float]:
         root = (-b + math.sqrt(disc)) / 2.0 if disc >= 0.0 else math.inf
         lengths.append(root if root > 0.0 else math.inf)
     i = lengths.index(min(lengths))
-    a = grid[i - 1] if i > 0 and lengths[i - 1] < math.inf else grid[i]
-    b = grid[i + 1] if i < len(grid) - 1 and lengths[i + 1] < math.inf else grid[i]
-    if a == b:
+    if math.inf in lengths[max(i - 1, 0):i + 2]:
         raise ConfigError("L2c", "the middle linkage cannot close next to its shortest length")
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

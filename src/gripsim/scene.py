@@ -3,6 +3,9 @@
 One kernel, ``SceneObject._clearance``, measures a segment against an
 object.  The engine reads its clearance through ``clearance_to_segment``;
 contact markers read the point that attains it through ``clearance_witness``.
+On an object that is its own mirror image about x = 0 (``mirror_symmetric``)
+the kernel is even in x bit for bit: a segment and its mirror image give the
+same clearance and the same witness parameter.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ class SceneObject:
     def center(self) -> Point:
         return Point(self.x, self.y)
 
+    @cached_property
+    def mirror_symmetric(self) -> bool:
+        """Centred and unrotated, so the object is its own mirror image about x = 0."""
+        return self.x == 0.0 and self.rotation == 0.0
+
     @property
     def max_extent(self) -> float:
         if self.kind is ShapeKind.CIRCLE:
@@ -111,8 +119,9 @@ class SceneObject:
         The witness is a point of ab that attains the clearance: for a circle
         the projection of the centre; for a rectangle or slab the point
         ``segment_segment_distance`` returns for the first edge, in order, at
-        the least distance, which is the crossing point for a segment that
-        crosses an edge.
+        the least distance (on a mirror-symmetric box, a +x segment's is the
+        mirror of its mirror image's), which is the crossing point for a
+        segment that crosses an edge.
         """
         clear, t = self._clearance(a, b)
         return clear, Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
@@ -122,6 +131,10 @@ class SceneObject:
         if self.kind is ShapeKind.CIRCLE:
             dist, t = point_segment_distance(self.center, a, b)
             return dist - self.diameter / 2.0, t
+        # a mirror-symmetric box measures a segment on the +x side as its mirror
+        # image, so the two run one computation (docs/derivations.md)
+        if self.mirror_symmetric and (a.x + b.x > 0.0 or a.x + b.x == 0.0 and a.x > 0.0):
+            a, b = Point(-a.x, a.y), Point(-b.x, b.y)
         d, t = math.inf, 0.0
         for e1, e2 in self._edges:
             dist, at = segment_segment_distance(a, b, e1, e2)

@@ -3,7 +3,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gripsim.assembly import (
@@ -349,7 +349,7 @@ def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg
 
 # A mirror-symmetric scene steps side 0 only and hands its state to side 1;
 # starting the sides on two equal but distinct state objects forces the
-# two-sided path, which must give the same bytes.
+# two-sided path, which must give the same states and bytes.
 
 def _run(text: str, two_sided: bool = False, name: str = "mirror"):
     scn = parse_scenario(text, name=name)
@@ -363,17 +363,56 @@ def _run(text: str, two_sided: bool = False, name: str = "mirror"):
     return render_report(scn, cfg, rep), rep, obj
 
 
+def _fixture(name: str) -> str:
+    return (GOLDEN_DIR.parent.parent / "scenarios" / f"{name}.scn").read_text(encoding="utf-8")
+
+
 _SCRIPTS = ("close = auto\n",
             "reconfigure = engage\nclose = auto\n",
-            "close = auto\nopen = auto\n")
+            "close = auto\nopen = auto\n",
+            "reconfigure = end\nrelease-reconfigure = auto\n")   # box150's
+_ZEROS = st.sampled_from(["0", "-0.0"])
+# a drawn size, or one within 1e-6 mm of a fixture's, so that an edge lies a
+# hair from where the fingers touch a fixture's edge
+_SIZES = st.one_of(st.floats(10.0, 160.0),
+                   st.builds(float.__add__, st.sampled_from([30.0, 40.0, 80.0, 150.0]),
+                             st.floats(-1e-6, 1e-6)))
 
 
-@settings(max_examples=25, deadline=None)
-@given(diameter=st.floats(10.0, 130.0), y=st.floats(-170.0, -20.0),
-       empty=st.booleans(), script=st.sampled_from(_SCRIPTS))
-def test_a_mirrored_run_equals_the_two_sided_run(diameter, y, empty, script):
-    scene = "" if empty else f"[object]\nshape = circle\ndiameter = {diameter!r}\ny = {y!r}\n"
-    text = f"[gripper]\nmotor_step_deg = 4\ntrace_stride = 20\n{scene}[commands]\n{script}"
+@st.composite
+def _mirror_scenes(draw):
+    """An empty scene, or a circle, an unrotated rectangle or a slab at x = 0
+    (the rectangle's and slab's x and rotation written 0 or -0.0)."""
+    head = "[gripper]\nmotor_step_deg = 4\ntrace_stride = 20\n"
+    shape = draw(st.sampled_from(["none", "circle", "rectangle", "slab"]))
+    script = draw(st.sampled_from(_SCRIPTS))
+    if shape == "none":
+        return f"{head}[commands]\n{script}"
+    if shape == "circle":
+        obj = f"shape = circle\ndiameter = {draw(st.floats(10.0, 130.0))!r}\n"
+        obj += f"y = {draw(st.floats(-170.0, -20.0))!r}\n"
+    elif shape == "rectangle":
+        obj = f"shape = rectangle\nwidth = {draw(_SIZES)!r}\nheight = {draw(_SIZES)!r}\n"
+        obj += f"x = {draw(_ZEROS)}\ny = {draw(st.floats(-170.0, -80.0))!r}\n"
+        obj += f"rotation_deg = {draw(_ZEROS)}\n"
+    else:
+        thickness = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+        obj = f"shape = slab\nthickness = {thickness!r}\nwidth = {draw(_SIZES)!r}\n"
+        obj += f"x = {draw(_ZEROS)}\nsurface_y = {draw(st.floats(-166.0, -150.0))!r}\n"
+        script = draw(st.sampled_from(["pick-thin = auto\n", script]))
+    return f"{head}[object]\n{obj}[commands]\n{script}"
+
+
+# At their own motor step, side 1 of box150 and of cardboard_thin has a phalanx
+# lying along an edge, where every point ties for the contact marker.
+@settings(max_examples=40, deadline=None)
+@given(_mirror_scenes())
+@example(_fixture("box150_translational"))
+@example(_fixture("cardboard_thin"))
+@example(_fixture("ruler_thin"))
+@example("[gripper]\nmotor_step_deg = 4\n[object]\nshape = slab\nthickness = 0\nwidth = 30\n"
+         "x = -0.0\nsurface_y = -161\n[commands]\npick-thin = auto\n")
+def test_a_mirrored_run_equals_the_two_sided_run(text):
     mirrored, rep, obj = _run(text)
     two_sided, rep2, _ = _run(text, two_sided=True)
     left, right = rep.snapshots[-1][1].fingers
@@ -381,8 +420,18 @@ def test_a_mirrored_run_equals_the_two_sided_run(diameter, y, empty, script):
     left, right = rep2.snapshots[-1][1].fingers
     assert left is not right
     assert mirrored == two_sided
+    assert [snap.fingers for _, snap in rep.snapshots] == [snap.fingers for _, snap in rep2.snapshots]
     assert ([frame_svg(snap, obj) for _, snap in rep.snapshots]
             == [frame_svg(snap, obj) for _, snap in rep2.snapshots])
+
+
+@pytest.mark.parametrize("name", ["box150_translational", "cube80_remote", "cube40_proximal",
+                                  "ruler_thin", "cardboard_thin"])
+def test_centred_rectangles_and_slabs_step_one_side(name, scenario_dir):
+    report, rep, _ = _run((scenario_dir / f"{name}.scn").read_text(encoding="utf-8"), name=name)
+    left, right = rep.snapshots[-1][1].fingers
+    assert left is right
+    assert report.encode("utf-8") == (GOLDEN_DIR / f"{name}.report.json").read_bytes()
 
 
 def test_an_off_centre_circle_steps_both_sides():
@@ -393,9 +442,17 @@ def test_an_off_centre_circle_steps_both_sides():
     assert left != right
 
 
-@pytest.mark.parametrize("name", ["cube125_remote", "cube40_proximal"])
-def test_rectangles_step_both_sides(name, scenario_dir):
-    report, rep, _ = _run((scenario_dir / f"{name}.scn").read_text(encoding="utf-8"), name=name)
+@pytest.mark.parametrize("name, x", [pytest.param("cube125_remote", None, id="cube125_remote"),
+                                     pytest.param("cube40_proximal", 0.5, id="cube40_off_centre")])
+def test_rectangles_step_both_sides(name, x, scenario_dir):
+    """A rotated rectangle (cube125, 30 deg) and an off-centre one."""
+    text = (scenario_dir / f"{name}.scn").read_text(encoding="utf-8")
+    if x is not None:
+        text = text.replace("shape = rectangle\n", f"shape = rectangle\nx = {x}\n")
+    report, rep, _ = _run(text, name=name)
     left, right = rep.snapshots[-1][1].fingers
     assert left is not right
-    assert report.encode("utf-8") == (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+    if x is None:
+        assert report.encode("utf-8") == (GOLDEN_DIR / f"{name}.report.json").read_bytes()
+    else:
+        assert left != right

@@ -46,11 +46,10 @@ def _middle_min_numpy(geom: LinkageGeometry) -> tuple[float, float]:
     deltas = np.linspace(-math.pi / 2.0, max(geom.kappa, 0.1), 4001)
     lengths = _middle_lengths(geom, deltas)
     i = int(np.nanargmin(lengths))
-    # bracket only with neighbours where the linkage closes
-    a = float(deltas[i - 1 if i > 0 and not np.isnan(lengths[i - 1]) else i])
-    b = float(deltas[i + 1 if i < len(deltas) - 1 and not np.isnan(lengths[i + 1]) else i])
-    if a == b:
+    # a least length next to an angle where the linkage cannot close is rejected
+    if np.isnan(lengths[max(i - 1, 0):i + 2]).any():
         raise ConfigError("L2c", "no closing bracket")
+    a, b = float(deltas[max(i - 1, 0)]), float(deltas[min(i + 1, len(deltas) - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -203,7 +202,8 @@ def test_stop_angle_is_memoised_per_geometry_and_stop(monkeypatch):
 
 # the grid minimum of this middle linkage sits next to angles where it cannot
 # close or closes only to a negative upper root; a bracket reaching over there
-# made build_config fail with no field, and a minimum over them read -9.4 mm
+# made build_config fail with no field, a minimum over them read -9.4 mm, and
+# skipping them left 0.016 mm at the first angle that closes: no minimum at all
 OPEN_NEIGHBOUR = "[gripper]\nL2_rest = 59.2\nL2a = 38.7\nL2b = 76.1\nL2c = 38.8\n"
 
 
@@ -220,14 +220,19 @@ def _closes_to_a_positive_length(geom, delta):
 
 
 def test_the_refinement_stays_where_the_middle_linkage_closes():
-    geom = _open_neighbour_geometry()
+    geom = default_geometry()
     lo_len, arg = calibrate._middle_min(geom)
     assert linkage.middle_length(geom, arg) == lo_len
-    # the angle one grid step further out
-    assert not _closes_to_a_positive_length(
-        geom, arg - (max(geom.kappa, 0.1) + math.pi / 2.0) / 4000)
-    cfg = parse_scenario(OPEN_NEIGHBOUR).build_config()
-    assert linkage.middle_length(cfg.geometry, cfg.delta_stop) == pytest.approx(36.0, abs=1e-9)
+    step = (max(geom.kappa, 0.1) + math.pi / 2.0) / 4000
+    assert _closes_to_a_positive_length(geom, arg - step)
+    assert _closes_to_a_positive_length(geom, arg + step)
+    # a least grid length next to an angle that cannot close is refused, not refined
+    with pytest.raises(ConfigError) as err:
+        calibrate._middle_min(_open_neighbour_geometry())
+    assert err.value.field == "L2c"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(OPEN_NEIGHBOUR).build_config()
+    assert err.value.field == "L2c"
 
 
 def test_the_minimum_middle_length_is_positive_or_a_config_error_on_l2c():
@@ -239,9 +244,8 @@ def test_the_minimum_middle_length_is_positive_or_a_config_error_on_l2c():
         assert lo_len > 0.0
 
 
-def test_calibrate_resolves_a_linkage_whose_minimum_borders_an_open_angle(tmp_path, capsys):
+def test_calibrate_rejects_a_linkage_whose_minimum_borders_an_open_angle(tmp_path, capsys):
     path = tmp_path / "open_neighbour.scn"
     path.write_text(OPEN_NEIGHBOUR, encoding="utf-8")
-    assert main(["calibrate", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "L2c            = 38.800000 mm" in out
+    assert main(["calibrate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: L2c: ")

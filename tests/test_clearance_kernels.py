@@ -8,6 +8,13 @@ rewrite keeps every arithmetic operation in the same order, so results must
 match bit for bit: floats are compared through ``float.hex``, which also
 tells -0.0 from 0.0.
 
+A centred, unrotated rectangle or slab measures a segment on the +x side as
+its mirror image (``SceneObject.mirror_symmetric``), so the reference folds
+such a segment the same way before it measures it.  A segment and its mirror
+image must then read the same clearance and mirrored witnesses, which the
+per-edge computation alone does not give: the mirror of an edge is walked
+from its other end.
+
 Contact markers ask ``SceneObject.clearance_witness``, which must return
 the same clearance bits together with a point of the segment that attains it.
 ``segment_segment_distance`` returns such a point's parameter ``t`` too: the
@@ -108,6 +115,8 @@ def ref_clearance_to_segment(obj, a, b):
     if obj.kind is ShapeKind.CIRCLE:
         dist, _ = ref_point_segment_distance(Point(obj.x, obj.y), a, b)
         return dist - obj.diameter / 2.0
+    if obj.x == 0.0 and obj.rotation == 0.0 and (a.x + b.x > 0.0 or a.x + b.x == 0.0 and a.x > 0.0):
+        a, b = Point(-a.x, a.y), Point(-b.x, b.y)
     corners = _ref_corners(obj)
     edges = list(zip(corners, corners[1:] + corners[:1]))
     d = min(ref_segment_segment_distance(a, b, e1, e2)[0] for e1, e2 in edges)
@@ -233,13 +242,63 @@ def test_segment_segment_distance_is_bit_identical(s1, s2):
         _bits(*ref_segment_segment_distance(*s1, *s2))
 
 
+# box150's box: unfolded, this segment from its top edge reads 0.0 and its
+# mirror image 7.1e-15
+BOX150 = SceneObject.rectangle(150.0, 80.0, y=-120.0)
+ON_THE_TOP_EDGE = (Point(32.71, -80.0), Point(22.0, -141.8))
+
+
 @settings(max_examples=600, deadline=None)
 @given(objects_with_segments())
+@example((BOX150, *ON_THE_TOP_EDGE))
+@example((BOX150, *(Point(-p.x, p.y) for p in ON_THE_TOP_EDGE)))
 def test_clearance_to_segment_is_bit_identical(case):
     obj, a, b = case
     assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
     # a second call reads the cached outline and must agree with the first
     assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+
+
+@st.composite
+def centred_boxes_with_segments(draw):
+    """A centred, unrotated rectangle or slab (zero thickness included, x and
+    rotation 0.0 or -0.0) and a segment from a point within 1e-3 mm of its
+    outline: to a drawn point, to a point at the negated x (an exact tie,
+    a.x + b.x == 0), or moved onto x = 0.0 or -0.0 together with its other end."""
+    x = draw(st.sampled_from([0.0, -0.0]))
+    width, y = draw(st.floats(0.1, 200.0)), draw(coords)
+    if draw(st.booleans()):
+        obj = SceneObject.rectangle(width, draw(st.floats(0.1, 200.0)), x=x, y=y,
+                                    rotation=draw(st.sampled_from([0.0, -0.0])))
+    else:
+        thickness = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+        obj = SceneObject.slab(thickness, width, surface_y=y, x=x)
+    c = _ref_corners(obj)
+    k = draw(st.integers(0, 3))
+    near = st.floats(-1e-3, 1e-3)
+    a = (c[k] + (c[(k + 1) % 4] - c[k]).scaled(draw(fractions))
+         + Point(draw(st.one_of(st.just(0.0), near)), draw(st.one_of(st.just(0.0), near))))
+    end = draw(st.sampled_from(["free", "tie", "zeros"]))
+    if end == "free":
+        return obj, a, draw(st.one_of(st.just(a), points))
+    if end == "tie":
+        return obj, a, Point(-a.x, draw(coords))
+    zeros = st.sampled_from([0.0, -0.0])
+    return obj, Point(draw(zeros), a.y), Point(draw(zeros), draw(coords))
+
+
+@settings(max_examples=600, deadline=None)
+@given(centred_boxes_with_segments())
+@example((BOX150, *ON_THE_TOP_EDGE))
+@example((SceneObject.slab(0.0, 80.0, surface_y=-160.0, x=-0.0),
+          Point(0.0, -160.0), Point(-0.0, -150.0)))
+def test_a_centred_box_reads_a_segment_and_its_mirror_image_alike(case):
+    obj, a, b = case
+    assert obj.mirror_symmetric
+    clear, w = obj.clearance_witness(a, b)
+    mirror_clear, mirror_w = obj.clearance_witness(Point(-a.x, a.y), Point(-b.x, b.y))
+    assert _bits(mirror_clear, mirror_w.y) == _bits(clear, w.y)
+    assert mirror_w.x == -w.x    # bit for bit, up to the sign of an exact zero
 
 
 def test_hand_picked_contacts_are_bit_identical():
