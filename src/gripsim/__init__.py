@@ -11,11 +11,9 @@ from .assembly import (  # noqa: F401
     aperture_range,
     build_gripper,
     classify_mode,
-    close_until_stable,
     contact_detect,
     run_commands,
     sweep_ranges,
-    thin_object_pickup,
 )
 from .config import GripperConfig, build_config, default_config  # noqa: F401
 from .finger import (  # noqa: F401

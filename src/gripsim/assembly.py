@@ -334,7 +334,7 @@ def _register_contacts(cfg: GripperConfig, state: FingerState,
     params = cfg.finger_params()
     for ph, c in zip(_PHALANGES, clear):
         if c <= cfg.contact_tol:
-            state = fg.apply_contact(params, state, ph, max(0.0, -c))
+            state = fg.apply_contact(params, state, ph)
     return state
 
 
@@ -618,30 +618,6 @@ def run_commands(assembly: GripperAssembly, obj: SceneObject | None,
             run.snap()
 
     return _build_report(cfg, run)
-
-
-def close_until_stable(assembly: GripperAssembly, obj: SceneObject | None,
-                       command: str = "proximal") -> GraspReport:
-    """Run a grasp script.  No stable grasp is detected: each command stops at drive
-    end of travel, a jam, spring load at the torque bound, fingertips met, lock
-    engaged or its step budget."""
-    scripts = {
-        "proximal": [Command(Verb.CLOSE)],
-        "remote": [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)],
-        "translate": [Command(Verb.RECONFIGURE, "end"),
-                      Command(Verb.RELEASE_RECONFIGURE)],
-        "thin": [Command(Verb.PICK_THIN)],
-    }
-    if command not in scripts:
-        raise ValueError(f"unknown grasp command: {command!r}")
-    return run_commands(assembly, obj, scripts[command])
-
-
-def thin_object_pickup(assembly: GripperAssembly, slab: SceneObject) -> GraspReport:
-    """Close over a surface-mounted slab with the distal compliance active."""
-    if slab.kind is not ShapeKind.SLAB or not slab.on_surface:
-        raise ValueError("thin_object_pickup expects a slab resting on a surface")
-    return close_until_stable(assembly, slab, "thin")
 
 
 def classify_mode(assembly: GripperAssembly) -> int:

@@ -21,10 +21,6 @@ from .linkage import RIGHT_ANGLE, LinkageGeometry
 from .transmission import GearTrain, SlotGeometry, TransmissionParams, output_torque
 
 
-def _deg(x: float) -> float:
-    return math.radians(x)
-
-
 @dataclass(frozen=True)
 class GripperConfig:
     geometry: LinkageGeometry
@@ -33,7 +29,7 @@ class GripperConfig:
     # palm layout inputs
     aperture_max: float = 127.0        # fingertip gap at rest (parallel, home base)
     envelope_floor: float = 16.0       # smallest gap at which enveloping can initiate
-    rest_lean: float = _deg(25.0)      # outward lean of the proximal bar at rest
+    rest_lean: float = math.radians(25.0)  # outward lean of the proximal bar at rest
 
     # slider end stops (mm)
     L1_min: float = 46.0
@@ -45,8 +41,8 @@ class GripperConfig:
     contact_min: tuple[float, float, float] = (40.0, 26.0, 36.0)
 
     # drive
-    theta1_travel: float = _deg(110.0)
-    motor_step: float = _deg(0.5)
+    theta1_travel: float = math.radians(110.0)
+    motor_step: float = math.radians(0.5)
     motor_torque: float = 6.6          # N*m
     drive_gear_radius: float = 15.0    # output gear pitch radius (mm)
     finger_gear_radius: float = 7.5    # finger-base gear pitch radius (mm)
@@ -142,7 +138,6 @@ class GripperConfig:
             contact_rest=self.contact_rest,
             contact_min=self.contact_min,
             springs=self.springs,
-            contact_tol=self.contact_tol,
         )
 
     @cached_property

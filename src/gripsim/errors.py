@@ -23,10 +23,6 @@ class NonPhysicalRootError(GripsimError):
     """Both retraction roots are non-positive; no physical linkage length exists."""
 
 
-class OverCompressionError(GripsimError):
-    """A contact demands more retraction travel than the slider allows."""
-
-
 class SurfaceTooHighError(GripsimError):
     """Keeping the fingertip on the surface would exceed the distal travel."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import linkage
-from .errors import GripsimError, OverCompressionError, SurfaceTooHighError
+from .errors import GripsimError, SurfaceTooHighError
 from .geometry import Point
 from .linkage import LinkageGeometry
 
@@ -72,7 +72,6 @@ class FingerParams:
     contact_rest: tuple[float, float, float]
     contact_min: tuple[float, float, float]
     springs: SpringBank
-    contact_tol: float
 
 
 @dataclass(frozen=True)
@@ -174,25 +173,9 @@ def parallel_step(params: FingerParams, state: FingerState, drive_delta: float) 
     return advance_theta1(params, state, drive_delta)
 
 
-def _travel_left(params: FingerParams, state: FingerState, phalanx: Phalanx) -> float:
-    if phalanx is Phalanx.PROXIMAL:
-        return state.L1 - params.L1_min
-    if phalanx is Phalanx.MIDDLE:
-        return state.L2 - params.L2_min
-    return state.L3 - params.L3_min
-
-
-def apply_contact(params: FingerParams, state: FingerState, phalanx: Phalanx,
-                  penetration: float) -> FingerState:
+def apply_contact(params: FingerParams, state: FingerState, phalanx: Phalanx) -> FingerState:
     """Freeze the struck phalanx's driving angle and select the compliant path."""
-    if penetration < 0.0:
-        raise ValueError("penetration must be non-negative")
     if phalanx in state.contact_fixed:
-        if penetration > _travel_left(params, state, phalanx) + params.contact_tol:
-            raise OverCompressionError(
-                f"{phalanx.value} contact demands {penetration:.3f} mm "
-                "beyond the remaining slider travel"
-            )
         return state
 
     fixed = state.contact_fixed | {phalanx}

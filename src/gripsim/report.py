@@ -73,7 +73,7 @@ def run_report_dict(scenario: Scenario, cfg: GripperConfig,
             "tool": "gripsim",
             "version": __version__,
             "config_sha256": config_fingerprint(cfg),
-            "motor_step_deg": _deg(cfg.motor_step),
+            "motor_step_deg": math.degrees(cfg.motor_step),
             "scenario": scenario.name,
             "scenario_sha256": hashlib.sha256(
                 serialize_scenario(scenario).encode("utf-8")).hexdigest(),
@@ -99,7 +99,3 @@ def run_report_dict(scenario: Scenario, cfg: GripperConfig,
 def render_report(scenario: Scenario, cfg: GripperConfig,
                   report: GraspReport) -> str:
     return canonical_json(run_report_dict(scenario, cfg, report)) + "\n"
-
-
-def _deg(rad: float) -> float:
-    return math.degrees(rad)

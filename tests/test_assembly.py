@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gripsim.assembly import (
+    Command,
+    Verb,
     aperture_range,
     build_gripper,
     classify_mode,
-    close_until_stable,
     contact_detect,
     run_commands,
     sweep_ranges,
-    thin_object_pickup,
 )
 from gripsim.config import build_config
 from gripsim.finger import Behavior, Phalanx
@@ -45,7 +45,7 @@ def test_contact_detect_far_object_is_empty(cfg):
 
 def test_contact_detect_orders_by_finger_then_phalanx(cfg):
     asm = build_gripper(cfg)
-    rep = close_until_stable(asm, SceneObject.circle(60.0, 0.0, -40.0), "proximal")
+    rep = run_commands(asm, SceneObject.circle(60.0, 0.0, -40.0), [Command(Verb.CLOSE)])
     final = rep.snapshots[-1][1]
     contacts = contact_detect(final, SceneObject.circle(60.0, 0.0, -40.0))
     ids = [(i, c.phalanx) for i, c in contacts]
@@ -55,7 +55,7 @@ def test_contact_detect_orders_by_finger_then_phalanx(cfg):
 def test_sixty_mm_cylinder_touches_the_proximal_first(cfg):
     """Track the closing sweep: the first registered contact is proximal."""
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    rep = close_until_stable(build_gripper(cfg), obj, "proximal")
+    rep = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
     first = None
     for _, snap in rep.snapshots:
         if any(f.contact_fixed for f in snap.fingers):
@@ -66,15 +66,15 @@ def test_sixty_mm_cylinder_touches_the_proximal_first(cfg):
 
 def test_slab_under_the_fingertips_touches_distal_only(cfg):
     slab = SceneObject.slab(2.0, 30.0, -161.0)
-    rep = thin_object_pickup(build_gripper(cfg), slab)
+    rep = run_commands(build_gripper(cfg), slab, [Command(Verb.PICK_THIN)])
     final = rep.snapshots[-1][1]
     contacts = contact_detect(final, slab)
     assert contacts and {c.phalanx for _, c in contacts} == {Phalanx.DISTAL}
 
 
 def test_forty_mm_circle_envelopes_with_proximal_and_middle(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(40.0, 0.0, -58.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(40.0, 0.0, -58.0),
+                       [Command(Verb.CLOSE)])
     assert rep.mode == 2
     assert rep.success
     for f in rep.fingers:
@@ -83,8 +83,8 @@ def test_forty_mm_circle_envelopes_with_proximal_and_middle(cfg):
 
 
 def test_flat_square_of_the_same_width_stays_parallel(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.rectangle(40.0, 40.0, 0.0, -150.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.rectangle(40.0, 40.0, 0.0, -150.0),
+                       [Command(Verb.CLOSE)])
     assert rep.mode == 1
     assert rep.success
     for f in rep.fingers:
@@ -93,7 +93,7 @@ def test_flat_square_of_the_same_width_stays_parallel(cfg):
 
 def test_empty_scene_closes_fully_without_success(cfg):
     asm = build_gripper(cfg)
-    rep = close_until_stable(asm, None, "proximal")
+    rep = run_commands(asm, None, [Command(Verb.CLOSE)])
     assert rep.aperture_final == pytest.approx(0.0, abs=0.01)
     assert not rep.success
     assert rep.mode == 1
@@ -102,28 +102,29 @@ def test_empty_scene_closes_fully_without_success(cfg):
     final = rep.snapshots[-1][1]
     assert abs(final.aperture()) <= 1e-4
     rest = asm.fingers[0]
-    two_sided = close_until_stable(replace(asm, fingers=(rest, replace(rest))), None, "proximal")
+    two_sided = run_commands(replace(asm, fingers=(rest, replace(rest))), None,
+                             [Command(Verb.CLOSE)])
     assert two_sided.snapshots[-1][1].aperture().hex() == final.aperture().hex()
 
 
 def test_remote_flat_grasp_is_mode_four(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.rectangle(80.0, 80.0, 0.0, -110.0),
-                             "remote")
+    rep = run_commands(build_gripper(cfg), SceneObject.rectangle(80.0, 80.0, 0.0, -110.0),
+                       [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)])
     assert rep.mode == 4
     assert rep.lock_stage == "engaged"
     assert rep.success
 
 
 def test_remote_envelope_is_mode_five(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(120.0, 0.0, -90.0),
-                             "remote")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(120.0, 0.0, -90.0),
+                       [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)])
     assert rep.mode == 5
     assert rep.success
 
 
 def test_translational_grasp_is_mode_three(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.rectangle(150.0, 80.0, 0.0, -120.0),
-                             "translate")
+    rep = run_commands(build_gripper(cfg), SceneObject.rectangle(150.0, 80.0, 0.0, -120.0),
+                       [Command(Verb.RECONFIGURE, "end"), Command(Verb.RELEASE_RECONFIGURE)])
     assert rep.mode == 3
     assert rep.success
     assert rep.rack_segment in ("b1", "red", "b2")
@@ -133,7 +134,7 @@ def test_translational_grasp_is_mode_three(cfg):
 def test_classify_mode_on_terminal_states(cfg):
     asm = build_gripper(cfg)
     assert classify_mode(asm) == 1
-    rep = close_until_stable(asm, SceneObject.circle(40.0, 0.0, -58.0), "proximal")
+    rep = run_commands(asm, SceneObject.circle(40.0, 0.0, -58.0), [Command(Verb.CLOSE)])
     assert classify_mode(rep.snapshots[-1][1]) == 2
 
 
@@ -175,7 +176,8 @@ def test_doubled_geometry_doubles_every_range(cfg):
 
 
 def test_thin_pickup_keeps_the_tips_on_the_surface(cfg):
-    rep = thin_object_pickup(build_gripper(cfg), SceneObject.slab(2.0, 30.0, -161.0))
+    rep = run_commands(build_gripper(cfg), SceneObject.slab(2.0, 30.0, -161.0),
+                       [Command(Verb.PICK_THIN)])
     assert rep.success
     assert rep.tip_surface_gap is not None and rep.tip_surface_gap < 0.01
     for f in rep.fingers:
@@ -183,14 +185,15 @@ def test_thin_pickup_keeps_the_tips_on_the_surface(cfg):
 
 
 def test_zero_thickness_slab_is_a_no_grasp_report(cfg):
-    rep = thin_object_pickup(build_gripper(cfg), SceneObject.slab(0.0, 30.0, -161.0))
+    rep = run_commands(build_gripper(cfg), SceneObject.slab(0.0, 30.0, -161.0),
+                       [Command(Verb.PICK_THIN)])
     assert not rep.success
     assert rep.warnings
 
 
 def test_trace_is_physical_during_closing(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
+                       [Command(Verb.CLOSE)])
     gaps = [e["gap"] for e in rep.trace]
     assert all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:]))
     counts = [e["left"]["contacts"] + e["right"]["contacts"] for e in rep.trace]
@@ -199,8 +202,8 @@ def test_trace_is_physical_during_closing(cfg):
 
 def test_identical_runs_produce_identical_traces(cfg):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    rep1 = close_until_stable(build_gripper(cfg), obj, "proximal")
-    rep2 = close_until_stable(build_gripper(cfg), obj, "proximal")
+    rep1 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
+    rep2 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
     assert rep1.trace == rep2.trace
     assert rep1.fingers == rep2.fingers
 
@@ -209,15 +212,16 @@ def test_distal_never_retracts_for_free_standing_objects(cfg):
     for obj in (SceneObject.circle(40.0, 0.0, -58.0),
                 SceneObject.circle(120.0, 0.0, -90.0),
                 SceneObject.rectangle(40.0, 40.0, 0.0, -150.0)):
-        cmd = "remote" if obj.max_extent > 100 else "proximal"
-        rep = close_until_stable(build_gripper(cfg), obj, cmd)
+        commands = ([Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)]
+                    if obj.max_extent > 100 else [Command(Verb.CLOSE)])
+        rep = run_commands(build_gripper(cfg), obj, commands)
         for f in rep.fingers:
             assert f["R_D"] == 0.0
 
 
 def test_monotone_compression_while_closing(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
+                       [Command(Verb.CLOSE)])
     l1s = [e["left"]["L1"] for e in rep.trace]
     l2s = [e["left"]["L2"] for e in rep.trace]
     assert all(b <= a + 1e-9 for a, b in zip(l1s, l1s[1:]))
@@ -228,25 +232,27 @@ def test_monotone_compression_while_closing(cfg):
 
 
 def test_remote_hollow_warning_for_small_objects(cfg):
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(30.0, 0.0, -120.0),
-                             "remote")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(30.0, 0.0, -120.0),
+                       [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)])
     assert any("hollow" in w for w in rep.warnings)
 
 
 def test_behavior_transitions_are_monotone_while_closing(cfg):
     order = {Behavior.PARALLEL: 0, Behavior.ENVELOPING_PROXIMAL: 1,
              Behavior.ENVELOPING_DECOUPLED: 2}
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
+                       [Command(Verb.CLOSE)])
     ranks = [order[snap.fingers[0].behavior] for _, snap in rep.snapshots]
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
 
 def test_retraction_ratios_stay_inside_the_published_bounds(cfg):
-    for obj, cmd in ((SceneObject.circle(25.0, 0.0, -55.0), "proximal"),
-                     (SceneObject.circle(60.0, 0.0, -40.0), "proximal"),
-                     (SceneObject.circle(120.0, 0.0, -90.0), "remote")):
-        rep = close_until_stable(build_gripper(cfg), obj, cmd)
+    for obj, commands in (
+            (SceneObject.circle(25.0, 0.0, -55.0), [Command(Verb.CLOSE)]),
+            (SceneObject.circle(60.0, 0.0, -40.0), [Command(Verb.CLOSE)]),
+            (SceneObject.circle(120.0, 0.0, -90.0),
+             [Command(Verb.RECONFIGURE, "engage"), Command(Verb.CLOSE)])):
+        rep = run_commands(build_gripper(cfg), obj, commands)
         for f in rep.fingers:
             for key in ("R_P", "R_M", "R_D"):
                 assert 0.0 <= f[key] <= 0.53
@@ -254,12 +260,12 @@ def test_retraction_ratios_stay_inside_the_published_bounds(cfg):
 
 def test_weak_motor_stalls_against_the_springs():
     weak = build_config(motor_torque=0.001)
-    rep = close_until_stable(build_gripper(weak), SceneObject.circle(60.0, 0.0, -40.0),
-                             "proximal")
+    rep = run_commands(build_gripper(weak), SceneObject.circle(60.0, 0.0, -40.0),
+                       [Command(Verb.CLOSE)])
     assert rep.stalled
     assert rep.success  # stable-by-stall still holds the object
-    strong = close_until_stable(build_gripper(), SceneObject.circle(60.0, 0.0, -40.0),
-                                "proximal")
+    strong = run_commands(build_gripper(), SceneObject.circle(60.0, 0.0, -40.0),
+                          [Command(Verb.CLOSE)])
     assert rep.fingers[0]["R_P"] < strong.fingers[0]["R_P"]
 
 
@@ -269,8 +275,8 @@ def test_enveloping_during_translation_is_a_classification_error(cfg):
     from gripsim.errors import ClassificationError
     from gripsim.transmission import RackSegment
 
-    rep = close_until_stable(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
-                             "proximal")
+    rep = run_commands(build_gripper(cfg), SceneObject.circle(60.0, 0.0, -40.0),
+                       [Command(Verb.CLOSE)])
     final = rep.snapshots[-1][1]
     # force an inconsistent state: enveloped fingers with the rack mid-translation
     trans = final.transmission
@@ -338,7 +344,7 @@ def test_non_finite_link_lengths_are_config_errors_naming_the_length(cfg, field,
 
 def test_the_right_fingers_share_their_contacts_in_finger_then_phalanx_order(cfg):
     obj = SceneObject.circle(40.0, 0.0, -58.0)
-    final = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]
+    final = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)]).snapshots[-1][1]
     contacts = contact_detect(final, obj)
     by_finger = [[c for i, c in contacts if i == finger] for finger in range(3)]
     assert [c.phalanx for c in by_finger[0]] == [Phalanx.PROXIMAL, Phalanx.MIDDLE]

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from gripsim import finger as fg
-from gripsim.assembly import GripperAssembly, build_gripper, close_until_stable
+from gripsim.assembly import Command, GripperAssembly, Verb, build_gripper, run_commands
 from gripsim.config import GripperConfig, build_config
 from gripsim.errors import ConfigError
 from gripsim.geometry import Point
@@ -42,10 +42,10 @@ def test_corners_returns_a_fresh_list():
 
 
 def test_replaced_config_resolves_its_own_params(cfg):
-    assert cfg.finger_params().contact_tol == cfg.contact_tol
-    changed = replace(cfg, contact_tol=0.02)
-    assert changed.finger_params().contact_tol == 0.02
-    assert cfg.finger_params().contact_tol == 0.01
+    assert cfg.finger_params().L1_min == cfg.L1_min
+    changed = replace(cfg, L1_min=50.0)
+    assert changed.finger_params().L1_min == 50.0
+    assert cfg.finger_params().L1_min == 46.0
     wide = replace(cfg, finger_gear_radius=10.0)
     assert wide.transmission_params().finger_gear_radius == 10.0
     assert cfg.transmission_params().finger_gear_radius == 7.5
@@ -136,7 +136,7 @@ def test_filled_assembly_caches_leave_equality_and_hash_alone(cfg):
 
 def test_frame_svg_reuses_the_poses_of_an_engine_snapshot(cfg, monkeypatch):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    snapshot = close_until_stable(build_gripper(cfg), obj, "proximal").snapshots[-1][1]
+    snapshot = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)]).snapshots[-1][1]
     calls = []
     real = fg.phalanx_poses
 

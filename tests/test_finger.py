@@ -5,7 +5,7 @@ import pytest
 
 from gripsim import finger as fg
 from gripsim import linkage
-from gripsim.errors import GripsimError, OverCompressionError, SurfaceTooHighError
+from gripsim.errors import GripsimError, SurfaceTooHighError
 from gripsim.finger import Behavior, Phalanx
 
 
@@ -17,10 +17,6 @@ def params(cfg):
 @pytest.fixture()
 def rest(params):
     return fg.rest_pose(params)
-
-
-def _contact(ph, pen=0.0):
-    return ph, pen
 
 
 def test_rest_pose_holds_published_lengths(params, rest):
@@ -71,7 +67,7 @@ def test_parallel_step_saturates_at_travel_limits(params, rest):
 
 def test_proximal_contact_freezes_theta1_and_compresses_L1(params, rest):
     state = fg.parallel_step(params, rest, math.radians(30.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL))
+    state = fg.apply_contact(params, state, Phalanx.PROXIMAL)
     assert state.behavior is Behavior.ENVELOPING_PROXIMAL
     theta1_frozen = state.theta1
     prev = state.L1
@@ -87,14 +83,14 @@ def test_proximal_contact_freezes_theta1_and_compresses_L1(params, rest):
 def test_jammed_envelope_step_returns_the_state_unchanged(params, rest):
     """The stepping engine reads an unchanged finger as jammed."""
     state = fg.parallel_step(params, rest, math.radians(30.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL))
+    state = fg.apply_contact(params, state, Phalanx.PROXIMAL)
     assert fg.envelope_step(params, state, math.radians(20.0)) == state
 
 
 def test_wrap_is_anchored_to_the_closure_manifold(cfg, params, rest):
     g = cfg.geometry
     state = fg.parallel_step(params, rest, math.radians(30.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL))
+    state = fg.apply_contact(params, state, Phalanx.PROXIMAL)
     state = fg.envelope_step(params, state, math.radians(3.0))
     alpha = g.beta - state.theta2
     assert abs(linkage.closure_residual(g, state.theta1, alpha, state.L1)) < 1e-9
@@ -102,9 +98,9 @@ def test_wrap_is_anchored_to_the_closure_manifold(cfg, params, rest):
 
 def test_middle_contact_decouples_the_distal(params, rest):
     state = fg.parallel_step(params, rest, math.radians(30.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL))
+    state = fg.apply_contact(params, state, Phalanx.PROXIMAL)
     state = fg.envelope_step(params, state, math.radians(5.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.MIDDLE))
+    state = fg.apply_contact(params, state, Phalanx.MIDDLE)
     assert state.behavior is Behavior.ENVELOPING_DECOUPLED
     L1_frozen, theta2_frozen = state.L1, state.theta2
     prev_L2 = state.L2
@@ -120,27 +116,22 @@ def test_middle_contact_decouples_the_distal(params, rest):
 
 def test_decoupled_wrap_clamps_at_the_end_stop(params, rest):
     state = fg.parallel_step(params, rest, math.radians(20.0))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL))
-    state = fg.apply_contact(params, state, *_contact(Phalanx.MIDDLE))
+    state = fg.apply_contact(params, state, Phalanx.PROXIMAL)
+    state = fg.apply_contact(params, state, Phalanx.MIDDLE)
     state = fg.decouple_step(params, state, math.radians(720.0))
     assert state.theta3 == params.theta3_max
     assert state.L2 == pytest.approx(params.L2_min, abs=1e-6)
 
 
-def test_zero_penetration_contact_changes_no_pose_numbers(params, rest):
+@pytest.mark.parametrize("phalanx", [Phalanx.PROXIMAL, Phalanx.MIDDLE, Phalanx.DISTAL])
+def test_a_contact_changes_no_pose_numbers(params, rest, phalanx):
     state = fg.parallel_step(params, rest, math.radians(25.0))
-    touched = fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL, 0.0))
-    assert touched.theta1 == state.theta1
+    touched = fg.apply_contact(params, state, phalanx)
+    assert touched.contact_fixed == {phalanx}
+    assert (touched.theta1, touched.theta3) == (state.theta1, state.theta3)
     assert (touched.L1, touched.L2, touched.L3) == (state.L1, state.L2, state.L3)
-    again = fg.apply_contact(params, touched, *_contact(Phalanx.PROXIMAL, 0.0))
+    again = fg.apply_contact(params, touched, phalanx)
     assert again == touched
-
-
-def test_overcompression_is_an_error(params, rest):
-    state = fg.apply_contact(params, fg.parallel_step(params, rest, math.radians(25.0)),
-                             *_contact(Phalanx.PROXIMAL))
-    with pytest.raises(OverCompressionError):
-        fg.apply_contact(params, state, *_contact(Phalanx.PROXIMAL, 30.0))
 
 
 def test_distal_retract_keeps_the_tip_on_the_surface(cfg, params, rest):

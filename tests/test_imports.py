@@ -1,11 +1,14 @@
 """Every module-level import in the library is used by the module that makes it,
-and every private module-level function or class is used by the library.
+every private module-level function or class is used by the library, and every
+public function, class or method has a caller in the library or the
+acceptance suite.
 
 No linter ships with the test environment, so this walks each module's syntax
 tree instead.  ``__init__.py`` is exempt from the import check: its imports
 are the package's public re-exports.  A private name that only a test reads
-is dead library code.  The library also runs without numpy and scipy, which
-only the tests use.
+is dead library code, and so is a public one that neither the library (its
+re-export in ``__init__.py`` aside) nor an acceptance gate reads.  The library
+also runs without numpy and scipy, which only the tests use.
 """
 
 import ast
@@ -81,6 +84,47 @@ def test_every_private_definition_is_used_by_the_library():
               for name, tree in trees.items() for node in _private_definitions(tree)
               if not any(node.name in used for _, stmt, used in reads if stmt is not node)]
     assert not unused, f"private definitions nothing in the library uses: {unused}"
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reading_units(tree: ast.Module) -> list[tuple[set[ast.AST], set[str]]]:
+    """(enclosing definitions, names read) for each module-level statement, with
+    a class split into its members so that a method's siblings count as callers."""
+    units = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            units += [({stmt, member}, _referenced_names(member)) for member in stmt.body]
+            head = stmt.decorator_list + stmt.bases + stmt.keywords
+            units.append(({stmt}, set().union(*map(_referenced_names, head))))
+        else:
+            units.append(({stmt}, _referenced_names(stmt)))
+    return units
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """Module-level functions and classes, and methods, whose names do not start with ``_``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) and not node.name.startswith("_"):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [m for m in node.body
+                      if isinstance(m, _FUNCTIONS) and not m.name.startswith("_")]
+    return found
+
+
+def test_every_public_definition_has_a_library_caller():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    units = [unit for tree in trees.values() for unit in _reading_units(tree)]
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    gates = _referenced_names(ast.parse(acceptance.read_text(encoding="utf-8")))
+    uncalled = [f"{name}:{node.lineno} {node.name}"
+                for name, tree in trees.items() for node in _public_definitions(tree)
+                if node.name not in gates
+                and not any(node.name in reads for owners, reads in units if node not in owners)]
+    assert not uncalled, f"public definitions with no caller outside tests: {uncalled}"
 
 
 _RUN_WITHOUT_NUMPY = """

@@ -1,6 +1,6 @@
 import xml.etree.ElementTree as ET
 
-from gripsim.assembly import build_gripper, close_until_stable
+from gripsim.assembly import Command, Verb, build_gripper, run_commands
 from gripsim.render import frame_svg, write_frames
 from gripsim.scene import SceneObject
 
@@ -32,7 +32,7 @@ def test_rect_objects_render_as_one_polygon(cfg):
 
 def test_write_frames_produces_numbered_files_and_a_summary(cfg, tmp_path):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    rep = close_until_stable(build_gripper(cfg), obj, "proximal")
+    rep = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
     write_frames(tmp_path, rep.snapshots, obj, "mode 2")
     files = sorted(tmp_path.iterdir())
     names = [p.name for p in files]
@@ -43,8 +43,8 @@ def test_write_frames_produces_numbered_files_and_a_summary(cfg, tmp_path):
 
 def test_frames_are_deterministic(cfg, tmp_path):
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    rep1 = close_until_stable(build_gripper(cfg), obj, "proximal")
-    rep2 = close_until_stable(build_gripper(cfg), obj, "proximal")
+    rep1 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
+    rep2 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
     write_frames(tmp_path / "a", rep1.snapshots, obj, "x")
     write_frames(tmp_path / "b", rep2.snapshots, obj, "x")
     a = sorted((tmp_path / "a").iterdir())

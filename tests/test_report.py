@@ -1,7 +1,7 @@
 import json
 
 
-from gripsim.assembly import build_gripper, close_until_stable
+from gripsim.assembly import Command, Verb, build_gripper, run_commands
 from gripsim.report import canonical_json, config_fingerprint, render_report
 from gripsim.scenario import parse_scenario
 from gripsim.scene import SceneObject
@@ -35,8 +35,8 @@ def test_report_bytes_are_reproducible(cfg):
     scn = parse_scenario("[object]\nshape = circle\ndiameter = 60\ny = -40\n",
                          name="demo")
     obj = SceneObject.circle(60.0, 0.0, -40.0)
-    rep1 = close_until_stable(build_gripper(cfg), obj, "proximal")
-    rep2 = close_until_stable(build_gripper(cfg), obj, "proximal")
+    rep1 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
+    rep2 = run_commands(build_gripper(cfg), obj, [Command(Verb.CLOSE)])
     text1 = render_report(scn, cfg, rep1)
     text2 = render_report(scn, cfg, rep2)
     assert text1 == text2
