@@ -26,7 +26,11 @@ sides would give; no other code does.
 A step that cannot touch poses nothing: ``_joint_moves`` bounds how far each
 joint can have moved from the two finger states alone, so ``_clearances`` and
 ``_gap_fraction`` pose a state only to evaluate it exactly
-(docs/derivations.md, "The motion budget").
+(docs/derivations.md, "The motion budget").  Such a closing step returns its
+advanced state without looking for contacts.  The run holds the mounts of its
+base (``_Run.mounts_at``) and rebuilds them only when the base moves; they are
+keyed on the base travel, so a base shift that aborts leaves the run at the
+mounts of its old base.
 """
 
 from __future__ import annotations
@@ -204,16 +208,12 @@ class _LastExact:
         if self.state is None:
             return None
         shift = abs(center - self.center)
-        out = []
-        for ph, c, d in zip(_PHALANGES, self.clearances, _joint_moves(state, self.state)):
-            if fixed and ph in fixed:
-                out.append(math.inf)
-                continue
-            lb = c - (shift + d)
-            if not lb > floor:
-                return None
-            out.append(lb)
-        return tuple(out)
+        moves = _joint_moves(state, self.state)
+        (c1, c2, c3), (d2, d3, d4) = self.clearances, moves
+        out = (c1 - (shift + d2), c2 - (shift + d3), c3 - (shift + d4))
+        if fixed:
+            out = tuple(math.inf if ph in fixed else lb for ph, lb in zip(_PHALANGES, out))
+        return out if out[0] > floor and out[1] > floor and out[2] > floor else None
 
 
 def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
@@ -224,16 +224,29 @@ def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
     bounds from ``last`` (the side's last exact evaluation) keep every phalanx
     not in contact more than ``contact_tol`` clear, no kernel runs and
     ``state`` is not posed.  Otherwise ``state`` is posed, every clearance is
-    computed exactly and ``last`` is refreshed.  Callers only ask whether a
-    value is negative, under ``contact_tol / 2`` or within ``contact_tol``,
-    which a bound answers as the exact value would.
+    computed exactly and ``last`` is refreshed (``_exact_clearances``).
+    Callers only ask whether a value is negative, under ``contact_tol / 2`` or
+    within ``contact_tol``, which a bound answers as the exact value would.
     """
     if obj is None:
         return (math.inf,) * len(_PHALANGES)
-    fixed = state.contact_fixed
-    bounds = last.bounds(state, mount.center, fixed, cfg.contact_tol + _BOUND_MARGIN)
+    bounds = _free_bounds(cfg, state, mount, last)
     if bounds is not None:
         return bounds
+    return _exact_clearances(cfg, state, mount, obj, last)
+
+
+def _free_bounds(cfg: GripperConfig, state: FingerState, mount: Mount,
+                 last: _LastExact) -> tuple[float, ...] | None:
+    """The bounds from ``last`` when they keep every free phalanx of ``state``
+    more than ``contact_tol`` clear, else None."""
+    return last.bounds(state, mount.center, state.contact_fixed, cfg.contact_tol + _BOUND_MARGIN)
+
+
+def _exact_clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
+                      obj: SceneObject, last: _LastExact) -> tuple[float, ...]:
+    """Pose ``state``, compute each free phalanx's clearance and make it ``last``."""
+    fixed = state.contact_fixed
     segments = _world_segments(cfg.finger_params(), state, mount)
     clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
                   for ph, (a, b) in zip(_PHALANGES, segments))
@@ -256,6 +269,8 @@ class Verb(Enum):
 
 _CLOSING = {Verb.CLOSE, Verb.PICK_THIN, Verb.RELEASE_RECONFIGURE}
 
+_TIPS_MEET = (Behavior.PARALLEL, Behavior.THIN_OBJECT)
+
 
 @dataclass
 class _Run:
@@ -270,9 +285,22 @@ class _Run:
     last_exact: tuple[_LastExact, _LastExact] = field(
         default_factory=lambda: (_LastExact(), _LastExact()))
     last_gap: GripperAssembly | None = None   # the last assembly whose aperture was read
+    held_mounts: tuple[float, tuple[Mount, Mount]] | None = None   # (travel, its mounts)
 
     def snap(self) -> None:
         self.snapshots.append((self.steps, self.assembly))
+
+    def mounts_at(self, travel: float) -> tuple[Mount, Mount]:
+        """``_mounts`` for a base shift of ``travel``, kept until another travel is asked for.
+
+        The key is the travel, not the step that asked: a BASE step that aborts
+        leaves ``assembly`` at its old travel, whose mounts are then built
+        afresh.  Equal travels give the same bits (``±0.0`` shifts by nothing).
+        """
+        held = self.held_mounts
+        if held is None or held[0] != travel:
+            held = self.held_mounts = (travel, _mounts(self.assembly.config, travel))
+        return held[1]
 
     def mirrored(self) -> bool:
         """Both sides hold one state object and the scene is its own mirror image.
@@ -291,7 +319,7 @@ def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
                     surface: float | None) -> FingerState:
     """One finger's compliant response to a closing joint increment."""
     params = cfg.finger_params()
-    if state.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT):
+    if state.behavior in _TIPS_MEET:
         if state.contact_fixed:
             return state
         nxt = fg.advance_theta1(params, state, joint_delta)
@@ -315,7 +343,10 @@ def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
     """Advance, bisecting the step so no uncontacted phalanx crosses the object,
     then fix every phalanx the advanced state leaves within tolerance."""
     full = _advance_finger(cfg, state, joint_delta, surface)
-    clear = _clearances(cfg, full, mount, obj, last)
+    if obj is None or _free_bounds(cfg, full, mount, last) is not None:
+        # every free phalanx stays more than contact_tol clear: nothing to register
+        return full
+    clear = _exact_clearances(cfg, full, mount, obj, last)
     if min(clear) >= 0.0:
         return _register_contacts(cfg, full, clear)
 
@@ -415,7 +446,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     mirrored = run.mirrored()
 
     if route is Route.BASE:
-        if direction < 0 and any(f.contact_fixed for f in asm.fingers):
+        if direction < 0 and (asm.fingers[0].contact_fixed or asm.fingers[1].contact_fixed):
             # frozen contacts hold the fingers; the spring cannot pull the base past them
             run.stalled = True
             return False
@@ -429,7 +460,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             if route2 is not Route.BASE:
                 run.stalled = True
                 return False
-        fingers = _each_side(cfg, run, mirrored, _mounts(cfg, trans_new.base_translation),
+        fingers = _each_side(cfg, run, mirrored, run.mounts_at(trans_new.base_translation),
                              _settle if direction < 0 else _release_contacts)
         run.assembly = GripperAssembly(cfg, fingers, trans_new)
         _note_first_contact(run)
@@ -443,14 +474,15 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if joint_delta <= 0.0:
         run.stalled = True
         return False
-    mounts = asm.mounts()
+    mounts = run.mounts_at(asm.transmission.base_translation)
     if direction > 0:
         fingers = _each_side(cfg, run, mirrored, mounts, _open_finger, joint_delta)
         if fingers == asm.fingers:
             return False
     else:
         fingers = _each_side(cfg, run, mirrored, mounts, _close_finger, joint_delta, surface)
-        if fingers[0] == asm.fingers[0] or fingers[1] == asm.fingers[1]:
+        if _unmoved(fingers[0], asm.fingers[0]) or (
+                not mirrored and _unmoved(fingers[1], asm.fingers[1])):
             # a jammed side holds the shared train
             run.stalled = True
             return False
@@ -464,8 +496,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
 
     # Parallel closing bottoms out when the opposed tips meet; once a finger
     # wraps, the crosswise arrangement lets the fingers interleave instead.
-    if direction < 0 and all(
-            f.behavior in (Behavior.PARALLEL, Behavior.THIN_OBJECT) for f in fingers):
+    if direction < 0 and fingers[0].behavior in _TIPS_MEET and fingers[1].behavior in _TIPS_MEET:
         gap_frac = _gap_fraction(run, asm2)
         if gap_frac < 1.0:
             fingers = _each_side(cfg, run, mirrored, mounts, _close_finger,
@@ -482,10 +513,21 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     return True
 
 
+def _unmoved(state: FingerState, before: FingerState) -> bool:
+    return state is before or state == before
+
+
 def _spring_load(cfg: GripperConfig, fingers: tuple[FingerState, FingerState]) -> float:
-    """Summed spring force (N) the motor is currently holding across all three fingers."""
+    """Summed spring force (N) the motor is currently holding across all three fingers.
+
+    Each distinct state is summed once; the fingers' sums are added in
+    ``SIDES`` order, as a sum over the three fingers would add them."""
     params = cfg.finger_params()
-    return sum(sum(fg.spring_forces(params, fingers[side])) for side in SIDES)
+    left, right = fingers
+    left_load = sum(fg.spring_forces(params, left))
+    right_load = left_load if right is left else sum(fg.spring_forces(params, right))
+    loads = (left_load, right_load)
+    return sum([loads[s] for s in SIDES])
 
 
 def _base_fraction(cfg: GripperConfig, run: _Run, shift: float, mirrored: bool) -> float:
@@ -498,7 +540,7 @@ def _base_fraction(cfg: GripperConfig, run: _Run, shift: float, mirrored: bool) 
     sides = (0,) if mirrored else (0, 1)
 
     def clear_at(t: float) -> float:
-        mounts = _mounts(cfg, travel + shift * t)
+        mounts = run.mounts_at(travel + shift * t)
         c = math.inf
         for i in sides:
             c = min(c, *_clearances(cfg, asm.fingers[i], mounts[i], obj, run.last_exact[i]))
@@ -511,10 +553,14 @@ def _base_fraction(cfg: GripperConfig, run: _Run, shift: float, mirrored: bool) 
 
 def _last_clear_fraction(cfg: GripperConfig, clear_at) -> float:
     """Bisect a step whose full length touches for the largest share of it,
-    to within 2**-_BISECT_ITERS, that keeps the clearance at contact_tol / 2."""
+    to within 2**-_BISECT_ITERS, that keeps the clearance at contact_tol / 2;
+    a midpoint that rounds to ``lo`` or ``hi`` changes neither, so it stops there
+    (docs/derivations.md, "The motion budget")."""
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if clear_at(mid) < cfg.contact_tol / 2.0:
             hi = mid
         else:
@@ -528,10 +574,12 @@ def _gap_fraction(run: _Run, after: GripperAssembly) -> float:
     the tips and the base can have moved since stays above ``_BOUND_MARGIN``."""
     ref = run.last_gap
     if ref is not None:
-        moves = abs(after.transmission.base_translation - ref.transmission.base_translation)
-        for state, ref_state in zip(after.fingers, ref.fingers):
-            moves += _joint_moves(state, ref_state)[2]
-        if ref.aperture() - moves > _BOUND_MARGIN:
+        (left, right), (ref_left, ref_right) = after.fingers, ref.fingers
+        left_move = _joint_moves(left, ref_left)[2]
+        right_move = left_move if right is left and ref_right is ref_left \
+            else _joint_moves(right, ref_right)[2]
+        base_move = abs(after.transmission.base_translation - ref.transmission.base_translation)
+        if ref.aperture() - (base_move + left_move + right_move) > _BOUND_MARGIN:
             return 1.0
     run.last_gap = after
     g1 = after.aperture()
@@ -546,7 +594,8 @@ def _gap_fraction(run: _Run, after: GripperAssembly) -> float:
 def _note_first_contact(run: _Run) -> None:
     if run.aperture_first_contact is not None:
         return
-    if any(f.contact_fixed for f in run.assembly.fingers):
+    left, right = run.assembly.fingers
+    if left.contact_fixed or right.contact_fixed:
         run.aperture_first_contact = run.assembly.aperture()
         run.events.append("first contact")
 

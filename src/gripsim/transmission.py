@@ -109,28 +109,28 @@ def lock_step(lock: LockState, base_motion_delta: float, slot: SlotGeometry) -> 
 
 @dataclass(frozen=True)
 class RackLayout:
-    """Segment boundaries of the unrolled rack path (mm of mesh travel)."""
+    """Segment boundaries of the unrolled rack path (mm of mesh travel), each computed once."""
 
     drive_span: float       # PART_A and PART_C width: full crank stroke
     slot: SlotGeometry
 
-    @property
+    @cached_property
     def a_end(self) -> float:
         return self.drive_span
 
-    @property
+    @cached_property
     def b1_end(self) -> float:
         return self.drive_span + self.slot.entry
 
-    @property
+    @cached_property
     def red_end(self) -> float:
         return self.drive_span + self.slot.peak
 
-    @property
+    @cached_property
     def b2_end(self) -> float:
         return self.drive_span + self.slot.end
 
-    @property
+    @cached_property
     def c_end(self) -> float:
         return self.b2_end + self.drive_span
 
