@@ -27,10 +27,7 @@ A step that cannot touch poses nothing: ``_joint_moves`` bounds how far each
 joint can have moved from the two finger states alone, so ``_clearances`` and
 ``_gap_fraction`` pose a state only to evaluate it exactly
 (docs/derivations.md, "The motion budget").  Such a closing step returns its
-advanced state without looking for contacts.  The run holds the mounts of its
-base (``_Run.mounts_at``) and rebuilds them only when the base moves; they are
-keyed on the base travel, so a base shift that aborts leaves the run at the
-mounts of its old base.
+advanced state without looking for contacts.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from . import finger as fg
 from . import linkage
 from . import transmission as tm
 from .config import GripperConfig, default_config
-from .errors import ClassificationError, GripsimError
+from .errors import ClassificationError, ConfigError, GripsimError
 from .finger import Behavior, FingerParams, FingerState, Phalanx, PhalanxContact
 from .geometry import Point
 from .scene import SceneObject, ShapeKind
@@ -59,6 +56,9 @@ _BOUND_MARGIN = 1e-9
 # side (0 left, 1 right) of each physical finger; the two right fingers share a state
 SIDES = (0, 1, 1)
 
+# direction each side closes toward: the left finger toward +x, the right toward -x
+_X_DIRS = (1.0, -1.0)
+
 # iterating a tuple is an order of magnitude cheaper than iterating the enum
 _PHALANGES = tuple(Phalanx)
 
@@ -66,16 +66,10 @@ Segments = tuple[tuple[Point, Point], ...]   # one finger's, in ``Phalanx`` orde
 
 
 @dataclass(frozen=True)
-class Mount:
-    center: float   # MCP pivot x position (mm)
-    x_dir: float    # +1 when the finger closes toward +x
-
-
-@dataclass(frozen=True)
 class GripperAssembly:
     """Left and right finger states, shared transmission, palm geometry.
 
-    ``fingers``, ``mounts()`` and ``side_segments`` are indexed by side;
+    ``fingers`` and ``side_segments`` are indexed by side;
     ``world_segments`` and ``tip`` take a physical finger index 0-2 and map it
     through ``SIDES``.
     The segments are cached per instance (``replace()`` starts an empty cache),
@@ -86,13 +80,11 @@ class GripperAssembly:
     fingers: tuple[FingerState, FingerState]
     transmission: TransmissionState
 
-    def mounts(self) -> tuple[Mount, Mount]:
-        return _mounts(self.config, self.transmission.base_translation)
-
     @cached_property
     def side_segments(self) -> tuple[Segments, Segments]:
         params = self.config.finger_params()
-        return tuple(_world_segments(params, f, m) for f, m in zip(self.fingers, self.mounts()))
+        h = self.config.half_span(self.transmission.base_translation)
+        return tuple(_world_segments(params, f, h, d) for f, d in zip(self.fingers, _X_DIRS))
 
     def world_segments(self, i: int) -> Segments:
         return self.side_segments[SIDES[i]]
@@ -104,16 +96,13 @@ class GripperAssembly:
         return self.tip(1).x - self.tip(0).x
 
 
-def _mounts(cfg: GripperConfig, travel: float) -> tuple[Mount, Mount]:
-    """Left and right MCP mounts for a total base shift of ``travel`` (mm)."""
-    h = cfg.layout.half_width + travel / 2.0
-    return (Mount(-h, 1.0), Mount(h, -1.0))
-
-
 def build_gripper(config: GripperConfig | None = None,
                   base_translation: float = 0.0) -> GripperAssembly:
     """Assembly at rest: parallel posture, fingers open to the mode maximum."""
     cfg = config if config is not None else default_config()
+    if not 0.0 <= base_translation <= cfg.base_shift_max:
+        raise ConfigError("base_translation",
+                          f"must lie inside [0, base_shift_max = {cfg.base_shift_max}]")
     params = cfg.finger_params()
     rest = fg.rest_pose(params)
     trans = tm.initial_transmission(cfg.transmission_params(), base_translation)
@@ -146,8 +135,9 @@ def contact_detect(assembly: GripperAssembly,
     return [(i, contact) for i, side in enumerate(SIDES) for contact in per_side[side]]
 
 
-def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> Segments:
-    """Pose one finger state and carry its segments into the world frame.
+def _world_segments(params: FingerParams, state: FingerState, h: float,
+                    x_dir: float) -> Segments:
+    """Pose one finger state and carry it into the world frame, MCP pivot at ``-x_dir * h``.
 
     Each state object is posed once per ``params`` object: the finger-frame
     pose is kept in the state's instance ``__dict__`` (as ``cached_property``
@@ -161,8 +151,9 @@ def _world_segments(params: FingerParams, state: FingerState, mount: Mount) -> S
     else:
         pose = fg.phalanx_poses(params, state)
         state.__dict__["_pose"] = (params, pose)
-    c, d = mount.center, mount.x_dir
-    o1, o2, o3, tip = [Point(c + d * p.x, p.y) for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
+    c = -x_dir * h
+    o1, o2, o3, tip = [Point(c + x_dir * p.x, p.y)
+                       for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
     return ((o1, o2), (o2, o3), (o3, tip))
 
 
@@ -182,32 +173,33 @@ def _joint_moves(state: FingerState, ref: FingerState) -> tuple[float, float, fl
 
 @dataclass
 class _LastExact:
-    """One side's finger state, mount centre and clearances at its last exact evaluation.
+    """One side's ``x_dir`` and its last exact evaluation: state, half span, clearances.
 
     A phalanx that was in contact then holds ``-inf``, so once released it is
     always computed afresh.  The record serves one side of one run, so the
-    finger parameters and the mount's ``x_dir`` are those of the reference.
+    finger parameters are those of the reference.
     """
 
+    x_dir: float
     state: FingerState | None = None
-    center: float = 0.0
+    h: float = 0.0
     clearances: tuple[float, ...] = ()
 
-    def bounds(self, state: FingerState, center: float, fixed: frozenset[Phalanx],
+    def bounds(self, state: FingerState, h: float, fixed: frozenset[Phalanx],
                floor: float) -> tuple[float, ...] | None:
-        """Lower bounds on the clearances of ``state`` at mount ``center``, ``inf`` for
+        """Lower bounds on the clearances of ``state`` at half span ``h``, ``inf`` for
         a phalanx in ``fixed``; None unless every other phalanx's bound exceeds ``floor``.
 
         Clearance is 1-Lipschitz in the displacement of a segment's endpoints,
         and every point of a segment moves at most as far as its farther
-        endpoint.  A mount shift moves every joint by ``|dcenter|``, and the
+        endpoint.  A change of half span moves every joint by ``|dh|``, and the
         joint moves of ``_joint_moves`` grow along the chain, so a phalanx is at
-        least ``c - |dcenter| - d`` clear, where ``c`` is its clearance here and
+        least ``c - |dh| - d`` clear, where ``c`` is its clearance here and
         ``d`` bounds the move of its outer joint.
         """
         if self.state is None:
             return None
-        shift = abs(center - self.center)
+        shift = abs(h - self.h)
         moves = _joint_moves(state, self.state)
         (c1, c2, c3), (d2, d3, d4) = self.clearances, moves
         out = (c1 - (shift + d2), c2 - (shift + d3), c3 - (shift + d4))
@@ -216,7 +208,7 @@ class _LastExact:
         return out if out[0] > floor and out[1] > floor and out[2] > floor else None
 
 
-def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _clearances(cfg: GripperConfig, state: FingerState, h: float,
                 obj: SceneObject | None, last: _LastExact) -> tuple[float, ...]:
     """Each phalanx's clearance to ``obj``; ``inf`` if it is in contact or there is no object.
 
@@ -230,27 +222,27 @@ def _clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
     """
     if obj is None:
         return (math.inf,) * len(_PHALANGES)
-    bounds = _free_bounds(cfg, state, mount, last)
+    bounds = _free_bounds(cfg, state, h, last)
     if bounds is not None:
         return bounds
-    return _exact_clearances(cfg, state, mount, obj, last)
+    return _exact_clearances(cfg, state, h, obj, last)
 
 
-def _free_bounds(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _free_bounds(cfg: GripperConfig, state: FingerState, h: float,
                  last: _LastExact) -> tuple[float, ...] | None:
     """The bounds from ``last`` when they keep every free phalanx of ``state``
     more than ``contact_tol`` clear, else None."""
-    return last.bounds(state, mount.center, state.contact_fixed, cfg.contact_tol + _BOUND_MARGIN)
+    return last.bounds(state, h, state.contact_fixed, cfg.contact_tol + _BOUND_MARGIN)
 
 
-def _exact_clearances(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _exact_clearances(cfg: GripperConfig, state: FingerState, h: float,
                       obj: SceneObject, last: _LastExact) -> tuple[float, ...]:
     """Pose ``state``, compute each free phalanx's clearance and make it ``last``."""
     fixed = state.contact_fixed
-    segments = _world_segments(cfg.finger_params(), state, mount)
+    segments = _world_segments(cfg.finger_params(), state, h, last.x_dir)
     clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
                   for ph, (a, b) in zip(_PHALANGES, segments))
-    last.state, last.center = state, mount.center
+    last.state, last.h = state, h
     last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(_PHALANGES, clear))
     return clear
 
@@ -283,30 +275,18 @@ class _Run:
     snapshots: list = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     last_exact: tuple[_LastExact, _LastExact] = field(
-        default_factory=lambda: (_LastExact(), _LastExact()))
-    last_gap: GripperAssembly | None = None   # the last assembly whose aperture was read
-    held_mounts: tuple[float, tuple[Mount, Mount]] | None = None   # (travel, its mounts)
+        default_factory=lambda: (_LastExact(_X_DIRS[0]), _LastExact(_X_DIRS[1])))
+    # the fingers, base shift and aperture of the last assembly whose aperture was read
+    last_gap: tuple[tuple[FingerState, FingerState], float, float] | None = None
 
     def snap(self) -> None:
         self.snapshots.append((self.steps, self.assembly))
 
-    def mounts_at(self, travel: float) -> tuple[Mount, Mount]:
-        """``_mounts`` for a base shift of ``travel``, kept until another travel is asked for.
-
-        The key is the travel, not the step that asked: a BASE step that aborts
-        leaves ``assembly`` at its old travel, whose mounts are then built
-        afresh.  Equal travels give the same bits (``±0.0`` shifts by nothing).
-        """
-        held = self.held_mounts
-        if held is None or held[0] != travel:
-            held = self.held_mounts = (travel, _mounts(self.assembly.config, travel))
-        return held[1]
-
     def mirrored(self) -> bool:
         """Both sides hold one state object and the scene is its own mirror image.
 
-        Side 1's world x is then side 0's negated exactly (mounts ``±h``,
-        ``x_dir = ±1``), and the clearance to no object or to a centred,
+        Side 1's world x is then side 0's negated exactly (``-x_dir * h + x_dir * x``
+        with ``x_dir = ±1``), and the clearance to no object or to a centred,
         unrotated one (``SceneObject.mirror_symmetric``) is even in x bit for
         bit: a circle's by its arithmetic, a rectangle's or slab's because the
         kernel measures a +x segment as its mirror image (docs/derivations.md).
@@ -337,26 +317,26 @@ def _advance_finger(cfg: GripperConfig, state: FingerState, joint_delta: float,
     return state
 
 
-def _close_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _close_finger(cfg: GripperConfig, state: FingerState, h: float,
                   obj: SceneObject | None, last: _LastExact, joint_delta: float,
                   surface: float | None) -> FingerState:
     """Advance, bisecting the step so no uncontacted phalanx crosses the object,
     then fix every phalanx the advanced state leaves within tolerance."""
     full = _advance_finger(cfg, state, joint_delta, surface)
-    if obj is None or _free_bounds(cfg, full, mount, last) is not None:
+    if obj is None or _free_bounds(cfg, full, h, last) is not None:
         # every free phalanx stays more than contact_tol clear: nothing to register
         return full
-    clear = _exact_clearances(cfg, full, mount, obj, last)
+    clear = _exact_clearances(cfg, full, h, obj, last)
     if min(clear) >= 0.0:
         return _register_contacts(cfg, full, clear)
 
     def clear_at(t: float) -> float:
         cand = _advance_finger(cfg, state, joint_delta * t, surface)
-        return min(_clearances(cfg, cand, mount, obj, last))
+        return min(_clearances(cfg, cand, h, obj, last))
 
     lo = _last_clear_fraction(cfg, clear_at)
     nxt = _advance_finger(cfg, state, joint_delta * lo, surface)
-    return _register_contacts(cfg, nxt, _clearances(cfg, nxt, mount, obj, last))
+    return _register_contacts(cfg, nxt, _clearances(cfg, nxt, h, obj, last))
 
 
 def _register_contacts(cfg: GripperConfig, state: FingerState,
@@ -369,11 +349,11 @@ def _register_contacts(cfg: GripperConfig, state: FingerState,
     return state
 
 
-def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _release_contacts(cfg: GripperConfig, state: FingerState, h: float,
                       obj: SceneObject | None, last: _LastExact) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    segments = _world_segments(cfg.finger_params(), state, mount)
+    segments = _world_segments(cfg.finger_params(), state, h, last.x_dir)
     keep = {ph for ph, (a, b) in zip(_PHALANGES, segments)
             if ph in state.contact_fixed
             and obj.clearance_to_segment(a, b) <= 5.0 * cfg.contact_tol}
@@ -382,13 +362,13 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, mount: Mount,
     return replace(state, contact_fixed=frozenset(keep))
 
 
-def _settle(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _settle(cfg: GripperConfig, state: FingerState, h: float,
             obj: SceneObject | None, last: _LastExact) -> FingerState:
     """Fix every phalanx a closing base shift leaves within tolerance."""
-    return _register_contacts(cfg, state, _clearances(cfg, state, mount, obj, last))
+    return _register_contacts(cfg, state, _clearances(cfg, state, h, obj, last))
 
 
-def _open_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
+def _open_finger(cfg: GripperConfig, state: FingerState, h: float,
                  obj: SceneObject | None, last: _LastExact, joint_delta: float) -> FingerState:
     """Reverse the cascade (distal uncurls, wrap releases, then the drive opens),
     then release the contacts the opened finger has left."""
@@ -416,19 +396,20 @@ def _open_finger(cfg: GripperConfig, state: FingerState, mount: Mount,
         nxt = fg.advance_theta1(params, state, -joint_delta)
         if state.behavior is Behavior.THIN_OBJECT and nxt.L3 >= g.L3_rest - 1e-12:
             nxt = replace(nxt, behavior=Behavior.PARALLEL, L3=g.L3_rest)
-    return _release_contacts(cfg, nxt, mount, obj, last)
+    return _release_contacts(cfg, nxt, h, obj, last)
 
 
-def _each_side(cfg: GripperConfig, run: _Run, mirrored: bool, mounts: tuple[Mount, Mount],
+def _each_side(cfg: GripperConfig, run: _Run, mirrored: bool, h: float,
                move, *extra) -> tuple[FingerState, FingerState]:
-    """Each side's state of ``run.assembly`` after ``move(cfg, state, mount, obj, last,
-    *extra)``.  A mirrored step (``_Run.mirrored``) moves side 0 only and hands
+    """Each side's state of ``run.assembly`` after ``move(cfg, state, h, obj, last,
+    *extra)`` at half span ``h``; each side's ``last`` record carries its
+    ``x_dir``.  A mirrored step (``_Run.mirrored``) moves side 0 only and hands
     its state to side 1; this is the only place that hand-over happens."""
     states, last, obj = run.assembly.fingers, run.last_exact, run.obj
-    left = move(cfg, states[0], mounts[0], obj, last[0], *extra)
+    left = move(cfg, states[0], h, obj, last[0], *extra)
     if mirrored:
         return (left, left)
-    return (left, move(cfg, states[1], mounts[1], obj, last[1], *extra))
+    return (left, move(cfg, states[1], h, obj, last[1], *extra))
 
 
 def _step(cfg: GripperConfig, run: _Run, direction: int,
@@ -460,7 +441,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
             if route2 is not Route.BASE:
                 run.stalled = True
                 return False
-        fingers = _each_side(cfg, run, mirrored, run.mounts_at(trans_new.base_translation),
+        fingers = _each_side(cfg, run, mirrored, cfg.half_span(trans_new.base_translation),
                              _settle if direction < 0 else _release_contacts)
         run.assembly = GripperAssembly(cfg, fingers, trans_new)
         _note_first_contact(run)
@@ -474,13 +455,13 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if joint_delta <= 0.0:
         run.stalled = True
         return False
-    mounts = run.mounts_at(asm.transmission.base_translation)
+    h = cfg.half_span(asm.transmission.base_translation)
     if direction > 0:
-        fingers = _each_side(cfg, run, mirrored, mounts, _open_finger, joint_delta)
+        fingers = _each_side(cfg, run, mirrored, h, _open_finger, joint_delta)
         if fingers == asm.fingers:
             return False
     else:
-        fingers = _each_side(cfg, run, mirrored, mounts, _close_finger, joint_delta, surface)
+        fingers = _each_side(cfg, run, mirrored, h, _close_finger, joint_delta, surface)
         if _unmoved(fingers[0], asm.fingers[0]) or (
                 not mirrored and _unmoved(fingers[1], asm.fingers[1])):
             # a jammed side holds the shared train
@@ -499,7 +480,7 @@ def _step(cfg: GripperConfig, run: _Run, direction: int,
     if direction < 0 and fingers[0].behavior in _TIPS_MEET and fingers[1].behavior in _TIPS_MEET:
         gap_frac = _gap_fraction(run, asm2)
         if gap_frac < 1.0:
-            fingers = _each_side(cfg, run, mirrored, mounts, _close_finger,
+            fingers = _each_side(cfg, run, mirrored, h, _close_finger,
                                  joint_delta * gap_frac, surface)
             run.assembly = GripperAssembly(cfg, fingers, trans_new)
             _note_first_contact(run)
@@ -540,10 +521,10 @@ def _base_fraction(cfg: GripperConfig, run: _Run, shift: float, mirrored: bool) 
     sides = (0,) if mirrored else (0, 1)
 
     def clear_at(t: float) -> float:
-        mounts = run.mounts_at(travel + shift * t)
+        h = cfg.half_span(travel + shift * t)
         c = math.inf
         for i in sides:
-            c = min(c, *_clearances(cfg, asm.fingers[i], mounts[i], obj, run.last_exact[i]))
+            c = min(c, *_clearances(cfg, asm.fingers[i], h, obj, run.last_exact[i]))
         return c
 
     if clear_at(1.0) >= 0.0:
@@ -570,19 +551,19 @@ def _last_clear_fraction(cfg: GripperConfig, clear_at) -> float:
 
 def _gap_fraction(run: _Run, after: GripperAssembly) -> float:
     """Share of the closing step from ``run.assembly`` to ``after`` before the tips
-    meet; 1.0 without posing while the aperture of ``run.last_gap`` less how far
-    the tips and the base can have moved since stays above ``_BOUND_MARGIN``."""
+    meet; 1.0 without posing while the aperture kept in ``run.last_gap`` less how
+    far the tips and the base can have moved since stays above ``_BOUND_MARGIN``."""
     ref = run.last_gap
     if ref is not None:
-        (left, right), (ref_left, ref_right) = after.fingers, ref.fingers
+        (left, right), ((ref_left, ref_right), ref_base, ref_gap) = after.fingers, ref
         left_move = _joint_moves(left, ref_left)[2]
         right_move = left_move if right is left and ref_right is ref_left \
             else _joint_moves(right, ref_right)[2]
-        base_move = abs(after.transmission.base_translation - ref.transmission.base_translation)
-        if ref.aperture() - (base_move + left_move + right_move) > _BOUND_MARGIN:
+        base_move = abs(after.transmission.base_translation - ref_base)
+        if ref_gap - (base_move + left_move + right_move) > _BOUND_MARGIN:
             return 1.0
-    run.last_gap = after
     g1 = after.aperture()
+    run.last_gap = (after.fingers, after.transmission.base_translation, g1)
     if g1 >= 0.0:
         return 1.0
     g0 = run.assembly.aperture()

@@ -118,6 +118,14 @@ def _cmd_run(args) -> int:
         if args.svg is not None:
             svg = Path(args.svg) if len(files) == 1 else Path(args.svg) / scenario.name
         jobs.append((scenario, out, svg))
+    for kind, at in (("report", 1), ("SVG directory", 2)):
+        writers: dict[Path, int] = {}   # resolved output path -> the first file writing it
+        for n, job in enumerate(jobs):
+            first = n if job[at] is None else writers.setdefault(job[at].resolve(), n)
+            if first != n:
+                print(f"error: {files[first]} and {files[n]} both write the {kind} {job[at]}",
+                      file=sys.stderr)
+                return 2
 
     # every scenario runs and writes its report; then the first failure in
     # file order is raised

@@ -88,8 +88,13 @@ class GripperConfig:
         """theta1 at which opposed fingertips meet with the base at home."""
         return self.theta1_close_at(0.0)
 
+    def half_span(self, base_shift: float) -> float:
+        """Palm centre to each MCP pivot (mm) for a total base shift: the two
+        finger bases sit at ``-half_span`` and ``+half_span``."""
+        return self.layout.half_width + base_shift / 2.0
+
     def theta1_close_at(self, base_shift: float) -> float:
-        s = (self.layout.half_width + base_shift / 2.0) / self.geometry.L1_rest
+        s = self.half_span(base_shift) / self.geometry.L1_rest
         if s >= 1.0:
             return self.theta1_max
         return self.layout.theta1_down + math.asin(s)
@@ -104,8 +109,8 @@ class GripperConfig:
 
     def aperture_at(self, theta1: float, base_shift: float) -> float:
         """Parallel-mode fingertip gap for a drive angle and base shift."""
-        h = self.layout.half_width + base_shift / 2.0
-        return 2.0 * h - 2.0 * self.geometry.L1_rest * math.sin(theta1 - self.layout.theta1_down)
+        psi = theta1 - self.layout.theta1_down
+        return 2.0 * self.half_span(base_shift) - 2.0 * self.geometry.L1_rest * math.sin(psi)
 
     def motor_to_joint(self, motor_delta: float) -> float:
         """Motor rotation -> finger drive rotation (worm + gear pair + rack)."""

@@ -29,7 +29,7 @@ def _pt(p: Point) -> str:
 def frame_svg(assembly: GripperAssembly, obj: SceneObject | None,
               caption: str = "") -> str:
     cfg = assembly.config
-    half = cfg.layout.half_width + cfg.base_shift_max / 2.0 + cfg.geometry.L1_rest + 30.0
+    half = cfg.half_span(cfg.base_shift_max) + cfg.geometry.L1_rest + 30.0
     depth = cfg.geometry.L1_rest + cfg.geometry.L2_rest + cfg.geometry.L3_rest + 40.0
     parts: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -161,6 +161,9 @@ def _parse_gripper_key(key, value, lineno, col, vcol, out, diagnostics) -> None:
     if key in _POSITIVE_KEYS and v <= 0:
         diagnostics.append((lineno, vcol, f"{key}: must be positive"))
         return
+    if key == "base_translation" and v < 0:
+        diagnostics.append((lineno, vcol, "base_translation: cannot be negative"))
+        return
     out[key] = v
 
 

@@ -192,7 +192,8 @@ class Route(Enum):
 
 def initial_transmission(params: TransmissionParams,
                          base_translation: float = 0.0) -> TransmissionState:
-    t = min(max(base_translation, 0.0), params.slot.end)
+    """The rest state with the base pre-translated by ``base_translation`` in [0, slot.end]."""
+    t = base_translation
     if t >= params.slot.peak:
         stage = LockStage.ENGAGED
     elif t > params.slot.entry:

@@ -24,7 +24,6 @@ from gripsim.assembly import (
     Verb,
     _clearances,
     _LastExact,
-    _mounts,
     _Run,
     _step,
     build_gripper,
@@ -77,39 +76,39 @@ def _run_fixture(name, scenario_dir):
 
 def test_a_released_phalanx_is_computed_afresh(cfg, monkeypatch):
     asm = build_gripper(cfg)
-    free, mount = asm.fingers[0], asm.mounts()[0]
+    free, h = asm.fingers[0], cfg.half_span(0.0)
     disc = SceneObject.circle(40.0, x=0.0, y=-100.0)
     exact = tuple(disc.clearance_to_segment(a, b) for a, b in asm.world_segments(0))
     assert min(exact) > 10.0
     held = replace(free, contact_fixed=frozenset({Phalanx.PROXIMAL}))
-    last = _LastExact()
+    last = _LastExact(1.0)
     calls = _count_kernel_calls(monkeypatch)
 
-    assert _clearances(cfg, held, mount, disc, last) == (float("inf"), *exact[1:])
+    assert _clearances(cfg, held, h, disc, last) == (float("inf"), *exact[1:])
     assert calls[0] == 2
     assert last.clearances[0] == float("-inf")
     # nothing moved: the other two are bounded by their own exact values
-    assert _clearances(cfg, held, mount, disc, last) == (float("inf"), *exact[1:])
+    assert _clearances(cfg, held, h, disc, last) == (float("inf"), *exact[1:])
     assert calls[0] == 2
     # once released, the proximal has no reference and all three are computed
-    assert _clearances(cfg, free, mount, disc, last) == exact
+    assert _clearances(cfg, free, h, disc, last) == exact
     assert calls[0] == 5
     assert last.clearances == exact
-    assert _clearances(cfg, free, mount, disc, last) == exact
+    assert _clearances(cfg, free, h, disc, last) == exact
     assert calls[0] == 5
 
 
 def test_a_phalanx_within_tolerance_is_computed_exactly(cfg, monkeypatch):
     asm = build_gripper(cfg)
-    state, mount = asm.fingers[0], asm.mounts()[0]
+    state, h = asm.fingers[0], cfg.half_span(0.0)
     a, b = asm.world_segments(0)[1]   # the middle phalanx
     # a disc whose rim sits half a tolerance off the middle phalanx
     r = 10.0
     disc = SceneObject.circle(2.0 * r, x=a.x + r + cfg.contact_tol / 2.0, y=(a.y + b.y) / 2.0)
-    last = _LastExact()
-    first = _clearances(cfg, state, mount, disc, last)
+    last = _LastExact(1.0)
+    first = _clearances(cfg, state, h, disc, last)
     calls = _count_kernel_calls(monkeypatch)
-    assert _clearances(cfg, state, mount, disc, last) == first
+    assert _clearances(cfg, state, h, disc, last) == first
     assert calls[0] == 3
     assert 0.0 < first[1] <= cfg.contact_tol
 
@@ -120,25 +119,25 @@ def test_an_unchanged_state_is_posed_once_at_any_mount(cfg, monkeypatch):
     state = asm.fingers[0]
     a, b = asm.world_segments(0)[1]   # the middle phalanx
     assert calls[0] == 1   # both sides hold the rest state object
-    # a disc 2 mm off the middle phalanx, on its closing side: a 3 mm base
-    # shift away from it leaves no bound above contact_tol, so both mounts
-    # are computed exactly
+    # a disc 2 mm off the middle phalanx, on its closing side: a 3 mm move of
+    # the left base away from it leaves no bound above contact_tol, so both
+    # half spans are computed exactly
     r = 10.0
     disc = SceneObject.circle(2.0 * r, x=a.x + r + 2.0, y=(a.y + b.y) / 2.0)
-    near, far = _mounts(cfg, 0.0)[0], _mounts(cfg, 6.0)[0]
-    last = _LastExact()
-    exact = [_clearances(cfg, state, m, disc, last) for m in (near, far)]
+    near, far = cfg.half_span(0.0), cfg.half_span(6.0)
+    last = _LastExact(1.0)
+    exact = [_clearances(cfg, state, h, disc, last) for h in (near, far)]
     assert calls[0] == 1
-    assert last.state is state and last.center == far.center and exact[1][1] > exact[0][1]
-    assert [_clearances(cfg, state, m, disc, _LastExact()) for m in (near, far)] == exact
+    assert last.state is state and last.h == far and exact[1][1] > exact[0][1]
+    assert [_clearances(cfg, state, h, disc, _LastExact(1.0)) for h in (near, far)] == exact
     assert calls[0] == 1
     # an equal state that is another object is posed again, once
     twin = replace(state)
     assert twin == state and twin is not state
-    assert [_clearances(cfg, twin, m, disc, _LastExact()) for m in (near, far)] == exact
+    assert [_clearances(cfg, twin, h, disc, _LastExact(1.0)) for h in (near, far)] == exact
     assert calls[0] == 2
     # and posing it leaves the first object's pose in place
-    assert _clearances(cfg, state, far, disc, _LastExact()) == exact[1]
+    assert _clearances(cfg, state, far, disc, _LastExact(1.0)) == exact[1]
     assert calls[0] == 2
 
 
@@ -251,13 +250,14 @@ def test_the_tip_budget_is_exact_under_a_pure_base_shift(cfg):
     base = 2.0 - at(0.0).aperture()
     ref = at(base)
     assert 1.99 < ref.aperture() < 2.01
-    run = _Run(assembly=ref, obj=None, last_gap=ref)
+    kept = (ref.fingers, base, ref.aperture())
+    run = _Run(assembly=ref, obj=None, last_gap=kept)
     assert asm_mod._gap_fraction(run, at(base - 1.9)) == 1.0
-    assert run.last_gap is ref
+    assert run.last_gap is kept
     # 0.2 mm past meeting: the budget runs out, and the exact aperture answers
     after = at(base - 2.2)
     assert 0.0 < asm_mod._gap_fraction(run, after) < 1.0
-    assert run.last_gap is after
+    assert run.last_gap == (after.fingers, base - 2.2, after.aperture())
 
 
 @pytest.mark.parametrize("obj, commands", [

@@ -35,7 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gripsim.finger as fg
-from gripsim.assembly import Mount, _clearances, _LastExact
+from gripsim.assembly import _clearances, _LastExact
 from gripsim.config import default_config
 from gripsim.finger import Behavior, FingerState, Phalanx
 from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
@@ -365,7 +365,7 @@ TOL = CFG.contact_tol
 _ENVELOPING = (Behavior.ENVELOPING_PROXIMAL, Behavior.ENVELOPING_DECOUPLED)
 _LENGTHS = ((PARAMS.L1_min, PARAMS.geometry.L1_rest), (PARAMS.L2_min, PARAMS.geometry.L2_rest),
             (PARAMS.L3_min, PARAMS.geometry.L3_rest))
-_MOVES = ("all", "mount", "theta1", "theta2", "theta3", "alpha_anchor", "L1", "L2", "L3")
+_MOVES = ("all", "base", "theta1", "theta2", "theta3", "alpha_anchor", "L1", "L2", "L3")
 
 
 @st.composite
@@ -386,9 +386,10 @@ def finger_states(draw):
     return FingerState(theta1, theta2, theta3, *lengths, behavior, fixed, anchor)
 
 
-def _joints(state, mount):
+def _joints(state, h, x_dir):
+    """The finger's joints in the world frame, its base at ``-x_dir * h``."""
     pose = fg.phalanx_poses(PARAMS, state)
-    return [Point(mount.center + mount.x_dir * p.x, p.y)
+    return [Point(-x_dir * h + x_dir * p.x, p.y)
             for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
 
 
@@ -426,10 +427,11 @@ def objects_near(draw, joints):
 
 @st.composite
 def moved_fingers(draw):
-    """A reference state and mount, an object near the finger, and a second
-    state and mount part of the way toward another drawn state.
+    """A side's closing direction, a reference state and half span, an object
+    near the finger, and a second state and half span part of the way toward
+    another drawn state.
 
-    Either everything moves (behaviour, fixed set and all), or only the mount
+    Either everything moves (behaviour, fixed set and all), or only the base
     or one field, which makes the bound nearly tight.  The share of the way is
     chosen so that the farthest joint moves up to 1.2 times the reference's
     least free clearance beyond the tolerance, often 0.98 to 1.05 times it, so
@@ -437,10 +439,10 @@ def moved_fingers(draw):
     """
     ref, other = draw(finger_states()), draw(finger_states())
     x_dir = draw(st.sampled_from([1.0, -1.0]))   # the left side or the right
-    ref_mount = Mount(-x_dir * draw(st.floats(20.0, 60.0)), x_dir)
-    obj = draw(objects_near(_joints(ref, ref_mount)))
+    ref_h = draw(st.floats(20.0, 60.0))
+    obj = draw(objects_near(_joints(ref, ref_h, x_dir)))
     move = draw(st.sampled_from(_MOVES))
-    shift = draw(st.floats(-20.0, 20.0)) if move in ("all", "mount") else 0.0
+    shift = draw(st.floats(-20.0, 20.0)) if move in ("all", "base") else 0.0
     fields = [f for f in _MOVES[2:] if move in ("all", f)]
     if ref.alpha_anchor is None or other.alpha_anchor is None:
         fields = [f for f in fields if f != "alpha_anchor"]
@@ -449,30 +451,31 @@ def moved_fingers(draw):
     def toward(k):
         values = {f: getattr(ref, f) + k * (getattr(other, f) - getattr(ref, f))
                   for f in fields}
-        return replace(base, **values), Mount(ref_mount.center + k * shift, x_dir)
+        return replace(base, **values), ref_h + k * shift
 
-    free = [c - TOL for ph, c in zip(Phalanx, _exact(obj, ref, ref_mount))
+    free = [c - TOL for ph, c in zip(Phalanx, _exact(obj, ref, ref_h, x_dir))
             if ph not in ref.contact_fixed]
-    far = max(_distance(a, b) for a, b in zip(_joints(ref, ref_mount), _joints(*toward(1.0))))
+    far = max(_distance(a, b) for a, b in zip(_joints(ref, ref_h, x_dir),
+                                                _joints(*toward(1.0), x_dir)))
     share = draw(st.one_of(st.floats(0.0, 1.2), st.floats(0.98, 1.05)))
     k = min(1.0, share * max(min(free, default=0.0), 0.0) / far) if far > 0.0 else 1.0
-    return obj, ref, ref_mount, *toward(k)
+    return obj, x_dir, ref, ref_h, *toward(k)
 
 
-def _exact(obj, state, mount):
-    j = _joints(state, mount)
+def _exact(obj, state, h, x_dir):
+    j = _joints(state, h, x_dir)
     return [obj.clearance_to_segment(a, b) for a, b in zip(j, j[1:])]
 
 
 @settings(max_examples=800, deadline=None)
 @given(moved_fingers())
 def test_a_skipped_clearance_check_could_not_have_found_contact(case):
-    obj, ref, ref_mount, moved, mount = case
-    last = _LastExact()
-    _clearances(CFG, ref, ref_mount, obj, last)
+    obj, x_dir, ref, ref_h, moved, h = case
+    last = _LastExact(x_dir)
+    _clearances(CFG, ref, ref_h, obj, last)
     assert last.state is ref
-    got = _clearances(CFG, moved, mount, obj, last)
-    exact = _exact(obj, moved, mount)
+    got = _clearances(CFG, moved, h, obj, last)
+    exact = _exact(obj, moved, h, x_dir)
     fixed = moved.contact_fixed
     if last.state is moved:
         assert got == tuple(math.inf if ph in fixed else c for ph, c in zip(Phalanx, exact))

@@ -72,6 +72,49 @@ def test_a_failing_file_still_lets_the_batch_finish(tmp_path, capsys):
     assert not (out / "a.report.json").exists()
 
 
+@pytest.mark.parametrize("args, kind", [
+    (["--out", "d", "--svg", "d"], "report"),
+    (["--svg", "d"], "SVG directory"),
+], ids=["report", "svg"])
+def test_two_files_with_one_stem_exit_two_before_running(tmp_path, capsys, args, kind):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _write(tmp_path / "a", "x.scn", GOOD)
+    b = _write(tmp_path / "b", "x.scn", "[object]\nshape = rectangle\nwidth = 40\n"
+                                        "height = 40\ny = -150\n")
+    d = tmp_path / "d"
+    rc = main(["run", str(a), str(b), *[str(d) if v == "d" else v for v in args]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err and f"both write the {kind}" in err
+    # nothing ran: no report and no frame was written
+    assert not (d / "x.report.json").exists() and not (d / "x").exists()
+    assert not (tmp_path / "a" / "x.report.json").exists()
+
+
+@pytest.mark.parametrize("value, exit_code, where", [
+    ("-5", 2, ":2:"),   # a parse diagnostic at its line and column
+    ("80", 2, "base_translation"),
+    ("50", 0, None),
+])
+def test_base_translation_outside_the_travel_exits_two(tmp_path, capsys, value, exit_code,
+                                                      where):
+    scn = _write(tmp_path, "t.scn", f"[gripper]\nbase_translation = {value}\n")
+    out = tmp_path / "t.json"
+    if value.startswith("-"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scn), "--out", str(out)])
+        rc = exc.value.code
+    else:
+        rc = main(["run", str(scn), "--out", str(out)])
+    assert rc == exit_code
+    if where is None:
+        assert json.loads(out.read_text())["result"]["base_translation"] == 50.0
+    else:
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_prints_all_five_ranges(capsys):
     assert main(["sweep"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

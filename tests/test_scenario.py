@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gripsim.errors import ScenarioError
+from gripsim.assembly import build_gripper
+from gripsim.errors import ConfigError, ScenarioError
 from gripsim.scenario import Scenario, parse_scenario, serialize_scenario
 from gripsim.scene import ShapeKind
 
@@ -44,6 +45,38 @@ def test_non_positive_drive_travel_is_rejected_with_location():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("[gripper]\ntheta1_travel_deg = -10\n")
     assert err.value.diagnostics == [(2, 21, "theta1_travel_deg: must be positive")]
+
+
+@pytest.mark.parametrize("value", ["-5", "-1e-9"])
+def test_a_negative_base_translation_is_rejected_with_location(value):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(f"[gripper]\nbase_translation = {value}\n")
+    assert err.value.diagnostics == [(2, 20, "base_translation: cannot be negative")]
+
+
+@pytest.mark.parametrize("text, travel", [
+    ("base_translation = -0\n", -0.0),
+    ("base_translation = 0\n", 0.0),
+    ("base_translation = 50\n", 50.0),
+    ("base_translation = 25\nscale = 0.5\n", 25.0),
+])
+def test_a_base_translation_inside_the_travel_is_kept(text, travel):
+    scn = parse_scenario("[gripper]\n" + text)
+    gripper = build_gripper(scn.build_config(), base_translation=scn.base_translation)
+    assert gripper.transmission.base_translation.hex() == travel.hex()
+
+
+@pytest.mark.parametrize("text", [
+    "base_translation = 80\n",
+    "base_translation = 50.000001\n",
+    "base_translation = 30\nscale = 0.5\n",   # the travel is scaled, the key is not
+    "base_translation = 1\nbase_shift_max = 0\n",
+])
+def test_a_base_translation_beyond_the_travel_is_a_config_error(text):
+    scn = parse_scenario("[gripper]\n" + text)
+    with pytest.raises(ConfigError) as err:
+        build_gripper(scn.build_config(), base_translation=scn.base_translation)
+    assert err.value.field == "base_translation"
 
 
 def test_scale_keeps_every_other_key():

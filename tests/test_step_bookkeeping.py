@@ -1,9 +1,9 @@
 """What a motor step keeps from the steps before it, and that keeping it changes no bit.
 
 A step that cannot touch pays little beyond its transmission and finger
-arithmetic: the run holds the mounts of its base until the base moves,
-``_spring_load`` sums each distinct finger state once, and the contact
-bisection stops once its midpoint stops moving.
+arithmetic: ``_spring_load`` sums each distinct finger state once, and the
+contact bisection stops once its midpoint stops moving.  A step that aborts
+leaves the run where it was, and the next command goes on from there.
 """
 
 import math
@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 import gripsim.assembly as asm_mod
 import gripsim.finger as fg
-import gripsim.transmission as tm
 from gripsim.assembly import (
     SIDES,
     Command,
     Verb,
     _last_clear_fraction,
-    _mounts,
     _spring_load,
     build_gripper,
     run_commands,
@@ -28,7 +26,6 @@ from gripsim.assembly import (
 from gripsim.errors import GripsimError
 from gripsim.finger import Phalanx
 from gripsim.scenario import parse_scenario
-from gripsim.transmission import Route
 
 
 def _fixed_bisection(cfg, clear_at) -> float:
@@ -88,90 +85,39 @@ def test_the_bisection_keeps_its_bits_where_the_clearance_is_not_monotone(cfg):
     assert _last_clear_fraction(cfg, clear_at) == _fixed_bisection(cfg, clear_at)
 
 
-def _bits(mounts) -> list[tuple[str, str]]:
-    return [(m.center.hex(), m.x_dir.hex()) for m in mounts]
-
-
 def _load(scenario_dir, name):
     scn = parse_scenario((scenario_dir / f"{name}.scn").read_text(encoding="utf-8"), name=name)
     cfg = scn.build_config()
     return cfg, build_gripper(cfg, base_translation=scn.base_translation), scn
 
 
-def _check_held_mounts(monkeypatch) -> list[int]:
-    """After every step, the mounts the run holds for its base are the assembly's
-    own, bit for bit.  Every drive step moves the fingers at the mounts of the
-    assembly it starts from, and every base step that completes settles them at
-    the mounts of the assembly it ends at."""
-    step, each_side = asm_mod._step, asm_mod._each_side
-    checked = [0, 0, 0]   # steps, drive moves, base moves
-    base_moves = []
-
-    def stepped(cfg, run, *args):
-        before = run.assembly
-        base_moves.clear()
-        moved = step(cfg, run, *args)
-        travel = run.assembly.transmission.base_translation
-        assert _bits(run.mounts_at(travel)) == _bits(run.assembly.mounts())
-        if run.assembly is not before:
-            for mounts in base_moves:
-                assert _bits(mounts) == _bits(run.assembly.mounts())
-                checked[2] += 1
-        checked[0] += 1
-        return moved
-
-    def sided(cfg, run, mirrored, mounts, move, *extra):
-        if move is asm_mod._close_finger or move is asm_mod._open_finger:
-            assert _bits(mounts) == _bits(run.assembly.mounts())
-            checked[1] += 1
-        else:
-            base_moves.append(mounts)
-        return each_side(cfg, run, mirrored, mounts, move, *extra)
-
-    monkeypatch.setattr(asm_mod, "_step", stepped)
-    monkeypatch.setattr(asm_mod, "_each_side", sided)
-    return checked
-
-
-@pytest.mark.parametrize("name", ["cube80_remote", "box150_translational"])
-def test_the_held_mounts_follow_the_base(name, scenario_dir, monkeypatch):
-    cfg, gripper, scn = _load(scenario_dir, name)
-    checked = _check_held_mounts(monkeypatch)
-    report = run_commands(gripper, scn.build_object(), scn.build_commands())
-    assert checked[0] == report.steps
-    assert checked[2] > 5000
-    assert checked[1] > 1000 if name == "cube80_remote" else checked[1] == 0
-
-
 def _fail_once(monkeypatch, name: str, when) -> list[int]:
     """Make ``assembly.<name>`` raise a GripsimError at its first call that
-    ``when(mount)`` accepts; returns that call's number, once it happened."""
+    ``when(h)`` accepts, ``h`` being the half span it is asked at; returns that
+    call's number, once it happened."""
     real, calls, failed = getattr(asm_mod, name), [0], []
 
-    def failing(cfg, state, mount, *args):
+    def failing(cfg, state, h, *args):
         calls[0] += 1
-        if not failed and when(mount):
+        if not failed and when(h):
             failed.append(calls[0])
             raise GripsimError("injected")
-        return real(cfg, state, mount, *args)
+        return real(cfg, state, h, *args)
     monkeypatch.setattr(asm_mod, name, failing)
     return failed
 
 
 def test_a_base_shift_that_aborts_leaves_the_mounts_at_the_old_base(scenario_dir, monkeypatch):
     # box150 shifts its base out, then closes it back onto the box; one closing
-    # base step raises in _settle after it has asked for the mounts of its new
-    # travel, so the assembly stays where it was, and the next command goes on
+    # base step raises in _settle at the half span of its new travel, so the
+    # assembly stays where it was, and the next command goes on from there
     cfg, gripper, scn = _load(scenario_dir, "box150_translational")
-    failed = _fail_once(monkeypatch, "_settle", lambda mount: True)
-    checked = _check_held_mounts(monkeypatch)
+    failed = _fail_once(monkeypatch, "_settle", lambda h: True)
     commands = [Command(Verb.RECONFIGURE, "end"), Command(Verb.RELEASE_RECONFIGURE),
                 Command(Verb.RELEASE_RECONFIGURE)]
     report = run_commands(gripper, scn.build_object(), commands)
     assert failed == [1]
     assert report.warnings == ["aborted: injected"]
-    assert checked[0] == report.steps
-    assert checked[2] > 3000
     assert report.success and report.mode == 3
 
 
@@ -179,16 +125,13 @@ def test_a_drive_after_an_aborted_base_shift_uses_the_old_mounts(scenario_dir, m
     # cube80 engages the lock; the first step beyond the red mark raises in
     # _release_contacts, so the base stays at the mark and the close drives there
     cfg, gripper, scn = _load(scenario_dir, "cube80_remote")
-    peak = _mounts(cfg, cfg.slot_peak)[0].center
-    failed = _fail_once(monkeypatch, "_release_contacts", lambda mount: mount.center < peak)
-    checked = _check_held_mounts(monkeypatch)
+    peak = cfg.half_span(cfg.slot_peak)
+    failed = _fail_once(monkeypatch, "_release_contacts", lambda h: h > peak)
     commands = [Command(Verb.RECONFIGURE, "engage"), Command(Verb.OPEN, 5),
                 Command(Verb.CLOSE)]
     report = run_commands(gripper, scn.build_object(), commands)
     assert failed
     assert report.warnings == ["aborted: injected"]
-    assert checked[0] == report.steps
-    assert checked[1] > 1000
     assert report.base_translation == cfg.slot_peak
     assert report.success and report.mode == 4
 
@@ -212,60 +155,3 @@ def test_the_spring_load_is_the_three_finger_sum_bit_for_bit(cfg, scenario_dir):
         got, want = _spring_load(cfg, fingers), _reference_load(cfg, fingers)
         assert got.hex() == want.hex()
     assert _reference_load(cfg, (squeezed, squeezed)) > 0.0
-
-
-def _count_mounts_in_steps(monkeypatch) -> tuple[list[int], list[int]]:
-    """``_mounts`` calls made while a step runs, and the BASE routes taken."""
-    mounts, step, route = asm_mod._mounts, asm_mod._step, tm.step_transmission
-    calls, base_routes, inside = [0], [0], [False]
-
-    def counted_mounts(cfg, travel):
-        if inside[0]:
-            calls[0] += 1
-        return mounts(cfg, travel)
-
-    def counted_step(*args):
-        inside[0] = True
-        try:
-            return step(*args)
-        finally:
-            inside[0] = False
-
-    def counted_route(*args):
-        out = route(*args)
-        if out[1] is Route.BASE:
-            base_routes[0] += 1
-        return out
-    monkeypatch.setattr(asm_mod, "_mounts", counted_mounts)
-    monkeypatch.setattr(asm_mod, "_step", counted_step)
-    monkeypatch.setattr(tm, "step_transmission", counted_route)
-    return calls, base_routes
-
-
-# a drive-only run builds mounts for its first step and for the few exact
-# aperture reads of the tip budget (GripperAssembly.side_segments)
-_DRIVE_ONLY_MOUNTS = 3
-
-
-@pytest.mark.parametrize("steps", [100, 1000, "auto"])
-def test_a_drive_only_run_builds_its_mounts_a_fixed_number_of_times(steps, scenario_dir,
-                                                                    monkeypatch):
-    cfg, gripper, scn = _load(scenario_dir, "cyl40_proximal")
-    calls, base_routes = _count_mounts_in_steps(monkeypatch)
-    report = run_commands(gripper, scn.build_object(), [Command(Verb.CLOSE, steps)])
-    assert base_routes[0] == 0
-    assert report.steps == steps if isinstance(steps, int) else report.steps > 3000
-    assert 1 <= calls[0] <= _DRIVE_ONLY_MOUNTS
-
-
-def test_a_base_shift_builds_its_mounts_at_most_once_per_step(scenario_dir, monkeypatch):
-    cfg, gripper, scn = _load(scenario_dir, "cube80_remote")
-    calls, base_routes = _count_mounts_in_steps(monkeypatch)
-    report = run_commands(gripper, scn.build_object(), scn.build_commands())
-    assert base_routes[0] > 5000
-    assert calls[0] <= base_routes[0] + _DRIVE_ONLY_MOUNTS
-    assert report.steps > base_routes[0]
-
-
-def test_equal_travels_give_the_same_mount_bits(cfg):
-    assert _bits(_mounts(cfg, 0.0)) == _bits(_mounts(cfg, -0.0))
