@@ -28,6 +28,11 @@ joint can have moved from the two finger states alone, so ``_clearances`` and
 ``_gap_fraction`` pose a state only to evaluate it exactly
 (docs/derivations.md, "The motion budget").  Such a closing step returns its
 advanced state without looking for contacts.
+
+The engine measures on floats: a state's pose is six floats kept on the
+state (``_pose``), ``_place`` carries it to a side's world frame as eight,
+and the clearance kernels take each phalanx as ``(ax, ay, bx, by)``.
+``Point``s are built only for render and the tests (``side_segments``).
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ class GripperAssembly:
 
     ``fingers`` and ``side_segments`` are indexed by side;
     ``world_segments`` and ``tip`` take a physical finger index 0-2 and map it
-    through ``SIDES``.
-    The segments are cached per instance (``replace()`` starts an empty cache),
-    and each state object is posed once (``_world_segments``).
+    through ``SIDES``.  These build ``Point``s for render and the tests, from
+    the same floats the engine reads (``_place``); the segments are cached per
+    instance (``replace()`` starts an empty cache), and each state object is
+    posed once (``_pose``).
     """
 
     config: GripperConfig
@@ -84,7 +90,12 @@ class GripperAssembly:
     def side_segments(self) -> tuple[Segments, Segments]:
         params = self.config.finger_params()
         h = self.config.half_span(self.transmission.base_translation)
-        return tuple(_world_segments(params, f, h, d) for f, d in zip(self.fingers, _X_DIRS))
+        sides = []
+        for f, x_dir in zip(self.fingers, _X_DIRS):
+            x1, y1, x2, y2, x3, y3, x4, y4 = _place(params, f, h, x_dir)
+            o1, o2, o3, tip = Point(x1, y1), Point(x2, y2), Point(x3, y3), Point(x4, y4)
+            sides.append(((o1, o2), (o2, o3), (o3, tip)))
+        return tuple(sides)
 
     def world_segments(self, i: int) -> Segments:
         return self.side_segments[SIDES[i]]
@@ -93,7 +104,12 @@ class GripperAssembly:
         return self.world_segments(i)[-1][1]
 
     def aperture(self) -> float:
-        return self.tip(1).x - self.tip(0).x
+        """The right tip's world x less the left tip's, placed as ``_place`` places them."""
+        params = self.config.finger_params()
+        h = self.config.half_span(self.transmission.base_translation)
+        left, right = (-x_dir * h + x_dir * _pose(params, f)[4]
+                       for f, x_dir in zip(self.fingers, _X_DIRS))
+        return right - left
 
 
 def build_gripper(config: GripperConfig | None = None,
@@ -128,33 +144,44 @@ def contact_detect(assembly: GripperAssembly,
     for segments in assembly.side_segments:
         found = []
         for ph, (a, b) in zip(_PHALANGES, segments):
-            clear, point = obj.clearance_witness(a, b)
+            clear, point = obj.clearance_witness(a.x, a.y, b.x, b.y)
             if clear <= tol:
                 found.append(PhalanxContact(phalanx=ph, point=point))
         per_side.append(found)
     return [(i, contact) for i, side in enumerate(SIDES) for contact in per_side[side]]
 
 
-def _world_segments(params: FingerParams, state: FingerState, h: float,
-                    x_dir: float) -> Segments:
-    """Pose one finger state and carry it into the world frame, MCP pivot at ``-x_dir * h``.
+def _pose(params: FingerParams,
+          state: FingerState) -> tuple[float, float, float, float, float, float]:
+    """``fg.phalanx_poses(params, state)``, computed once per state object and ``params``.
 
-    Each state object is posed once per ``params`` object: the finger-frame
-    pose is kept in the state's instance ``__dict__`` (as ``cached_property``
-    keeps a value), so equality, hashing and ``replace()`` ignore it.  Reuse
-    goes by identity, not equality: a state that is merely equal may still
-    pose to other bits (``-0.0 == 0.0``), so it is posed afresh.
+    The pose is kept in the state's instance ``__dict__`` (as
+    ``cached_property`` keeps a value), so equality, hashing and ``replace()``
+    ignore it.  Reuse goes by identity, not equality: a state that is merely
+    equal may still pose to other bits (``-0.0 == 0.0``), so it is posed afresh.
     """
     memo = state.__dict__.get("_pose")
     if memo is not None and memo[0] is params:
-        pose = memo[1]
-    else:
-        pose = fg.phalanx_poses(params, state)
-        state.__dict__["_pose"] = (params, pose)
+        return memo[1]
+    pose = fg.phalanx_poses(params, state)
+    state.__dict__["_pose"] = (params, pose)
+    return pose
+
+
+def _place(params: FingerParams, state: FingerState, h: float,
+           x_dir: float) -> tuple[float, float, float, float, float, float, float, float]:
+    """The world ``(x, y)`` of the MCP pivot, ``o2``, ``o3`` and the tip of one side,
+    its pivot at ``-x_dir * h``: a finger-frame ``(x, y)`` lands at
+    ``(-x_dir * h + x_dir * x, y)``, since a base moves along x only."""
+    o2x, o2y, o3x, o3y, tip_x, tip_y = _pose(params, state)
     c = -x_dir * h
-    o1, o2, o3, tip = [Point(c + x_dir * p.x, p.y)
-                       for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
-    return ((o1, o2), (o2, o3), (o3, tip))
+    return (c + x_dir * 0.0, 0.0, c + x_dir * o2x, o2y,
+            c + x_dir * o3x, o3y, c + x_dir * tip_x, tip_y)
+
+
+def _phalanges(p: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """The ``(ax, ay, bx, by)`` of each phalanx, in ``Phalanx`` order, of placed joints ``p``."""
+    return p[:4], p[2:6], p[4:]
 
 
 def _joint_moves(state: FingerState, ref: FingerState) -> tuple[float, float, float]:
@@ -239,9 +266,9 @@ def _exact_clearances(cfg: GripperConfig, state: FingerState, h: float,
                       obj: SceneObject, last: _LastExact) -> tuple[float, ...]:
     """Pose ``state``, compute each free phalanx's clearance and make it ``last``."""
     fixed = state.contact_fixed
-    segments = _world_segments(cfg.finger_params(), state, h, last.x_dir)
-    clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(a, b)
-                  for ph, (a, b) in zip(_PHALANGES, segments))
+    segments = _phalanges(_place(cfg.finger_params(), state, h, last.x_dir))
+    clear = tuple(math.inf if ph in fixed else obj.clearance_to_segment(*seg)
+                  for ph, seg in zip(_PHALANGES, segments))
     last.state, last.h = state, h
     last.clearances = tuple(-math.inf if ph in fixed else c for ph, c in zip(_PHALANGES, clear))
     return clear
@@ -353,10 +380,10 @@ def _release_contacts(cfg: GripperConfig, state: FingerState, h: float,
                       obj: SceneObject | None, last: _LastExact) -> FingerState:
     if obj is None or not state.contact_fixed:
         return state
-    segments = _world_segments(cfg.finger_params(), state, h, last.x_dir)
-    keep = {ph for ph, (a, b) in zip(_PHALANGES, segments)
+    segments = _phalanges(_place(cfg.finger_params(), state, h, last.x_dir))
+    keep = {ph for ph, seg in zip(_PHALANGES, segments)
             if ph in state.contact_fixed
-            and obj.clearance_to_segment(a, b) <= 5.0 * cfg.contact_tol}
+            and obj.clearance_to_segment(*seg) <= 5.0 * cfg.contact_tol}
     if keep == state.contact_fixed:
         return state
     return replace(state, contact_fixed=frozenset(keep))
@@ -582,11 +609,14 @@ def _note_first_contact(run: _Run) -> None:
 
 
 def _track_surface_gap(cfg: GripperConfig, run: _Run, surface: float) -> None:
-    for i in (0, 1):
-        state = run.assembly.fingers[i]
+    """Widen ``tip_surface_gap`` by each side whose distal bar is retracted.
+
+    A base moves along x only, so a tip's world y is its finger-frame y."""
+    params = cfg.finger_params()
+    for state in run.assembly.fingers:
         if state.L3 < cfg.geometry.L3_rest - 1e-9:
-            tip = run.assembly.tip(i)
-            run.tip_surface_gap = max(run.tip_surface_gap, abs(tip.y - surface))
+            tip_y = _pose(params, state)[5]
+            run.tip_surface_gap = max(run.tip_surface_gap, abs(tip_y - surface))
 
 
 # ---------------------------------------------------------------------------

@@ -75,16 +75,6 @@ class FingerParams:
 
 
 @dataclass(frozen=True)
-class FingerPose:
-    """Joint points in the finger frame."""
-
-    o1: Point
-    o2: Point
-    o3: Point
-    tip: Point
-
-
-@dataclass(frozen=True)
 class FingerState:
     """Joint angles, current retractable lengths and behavioral mode.
 
@@ -123,20 +113,27 @@ def rest_pose(params: FingerParams) -> FingerState:
     )
 
 
-def phalanx_poses(params: FingerParams, state: FingerState) -> FingerPose:
-    o2, o3, w2 = _middle_chain(params, state)
+def phalanx_poses(params: FingerParams,
+                  state: FingerState) -> tuple[float, float, float, float, float, float]:
+    """The PIP joint ``o2``, DIP joint ``o3`` and fingertip in the finger frame,
+    as ``(o2x, o2y, o3x, o3y, tip_x, tip_y)``; the MCP pivot ``o1`` is the origin.
+
+    Each joint is the one before it plus its bar's unit direction scaled by
+    the bar's length, in that order of operations (docs/derivations.md,
+    "The chain")."""
+    o2x, o2y, o3x, o3y, w2 = _middle_chain(params, state)
     w3 = w2 + state.theta3
-    tip = o3 + Point(math.sin(w3), -math.cos(w3)).scaled(state.L3)
-    return FingerPose(o1=Point(0.0, 0.0), o2=o2, o3=o3, tip=tip)
+    return (o2x, o2y, o3x, o3y,
+            o3x + math.sin(w3) * state.L3, o3y + -math.cos(w3) * state.L3)
 
 
-def _middle_chain(params: FingerParams, state: FingerState) -> tuple[Point, Point, float]:
-    """The PIP and DIP joints ``o2`` and ``o3`` and the middle's world wrap."""
+def _middle_chain(params: FingerParams,
+                  state: FingerState) -> tuple[float, float, float, float, float]:
+    """The PIP and DIP joints ``o2`` and ``o3`` (x, y each) and the middle's world wrap."""
     psi = state.theta1 - params.theta1_down
-    o2 = Point(state.L1 * math.sin(psi), -state.L1 * math.cos(psi))
+    o2x, o2y = state.L1 * math.sin(psi), -state.L1 * math.cos(psi)
     w2 = state.wrap()
-    o3 = o2 + Point(math.sin(w2), -math.cos(w2)).scaled(state.L2)
-    return o2, o3, w2
+    return o2x, o2y, o2x + math.sin(w2) * state.L2, o2y + -math.cos(w2) * state.L2, w2
 
 
 def coupler_angle_via_fourbar(params: FingerParams, state: FingerState) -> float:
@@ -245,7 +242,7 @@ def decouple_step(params: FingerParams, state: FingerState, delta: float) -> Fin
 def distal_retract(params: FingerParams, state: FingerState,
                    surface_height: float) -> FingerState:
     """Shorten the distal bar exactly enough to keep the fingertip on the surface."""
-    o3_y = _middle_chain(params, state)[1].y
+    o3_y = _middle_chain(params, state)[3]
     natural_tip = o3_y - params.geometry.L3_rest
     if natural_tip >= surface_height:
         return replace(state, L3=params.geometry.L3_rest)

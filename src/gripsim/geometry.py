@@ -24,15 +24,32 @@ class Point:
         return Point(self.x * k, self.y * k)
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> tuple[float, float]:
-    """Distance from p to segment ab and the parameter t of the closest point."""
-    return _point_segment(p.x, p.y, a.x, a.y, b.x, b.y)
+# The clearance kernels fix their arithmetic order: reports and frames are
+# compared byte for byte against goldens.  They take and return floats, so a
+# clearance evaluation builds no Point objects.  ``segment_segment_distance``
+# calls no helper: it repeats ``point_segment_distance``'s projection in its
+# own body, and it clamps with ``(t if t < 1.0 else 1.0) if t > 0.0 else
+# 0.0``, which is ``min(1.0, max(0.0, t))`` for every float, -0.0 and NaN
+# included.
+
+def point_segment_distance(px: float, py: float, ax: float, ay: float,
+                           bx: float, by: float) -> tuple[float, float]:
+    """Distance from (px, py) to segment ab and the parameter t of the closest point."""
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
+    if denom == 0.0:
+        return math.hypot(px - ax, py - ay), 0.0
+    t = ((px - ax) * abx + (py - ay) * aby) / denom
+    t = min(1.0, max(0.0, t))
+    return math.hypot(px - (ax + abx * t), py - (ay + aby * t)), t
 
 
-def segment_segment_distance(a1: Point, a2: Point, b1: Point,
-                             b2: Point) -> tuple[float, float]:
-    """Minimum distance between two segments and the parameter t on a1a2 of a
-    point that attains it.
+def segment_segment_distance(a1x: float, a1y: float, a2x: float, a2y: float,
+                             b1x: float, b1y: float, b2x: float,
+                             b2y: float) -> tuple[float, float]:
+    """Minimum distance between segments a1a2 and b1b2 and the parameter t on
+    a1a2 of a point that attains it.
 
     Segments that cross are 0 apart at their crossing point.  Otherwise the
     distance is attained at an endpoint of one segment (Ericson, *Real-Time
@@ -43,8 +60,6 @@ def segment_segment_distance(a1: Point, a2: Point, b1: Point,
     # One flat body: the four orientations and the four endpoint projections
     # are written out on shared differences.  Each keeps the operations, in
     # order, of the separate calls it replaces, so the bits are theirs.
-    a1x, a1y, a2x, a2y = a1.x, a1.y, a2.x, a2.y
-    b1x, b1y, b2x, b2y = b1.x, b1.y, b2.x, b2.y
     ux, uy = a2x - a1x, a2y - a1y          # a1 -> a2
     vx, vy = b2x - b1x, b2y - b1y          # b1 -> b2
     p1x, p1y = a1x - b1x, a1y - b1y        # b1 -> a1
@@ -94,25 +109,6 @@ def segment_segment_distance(a1: Point, a2: Point, b1: Point,
     if dist < d:
         d, t = dist, s
     return d, t
-
-
-# The clearance kernels fix their arithmetic order: reports and frames are
-# compared byte for byte against goldens.  ``_point_segment`` takes floats so
-# the circle path makes no Point objects.  ``segment_segment_distance`` calls
-# no helper: it repeats that projection's operations in its own body, and it
-# clamps with ``(t if t < 1.0 else 1.0) if t > 0.0 else 0.0``, which is
-# ``min(1.0, max(0.0, t))`` for every float, -0.0 and NaN included.
-
-def _point_segment(px: float, py: float, ax: float, ay: float,
-                   bx: float, by: float) -> tuple[float, float]:
-    abx = bx - ax
-    aby = by - ay
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        return math.hypot(px - ax, py - ay), 0.0
-    t = ((px - ax) * abx + (py - ay) * aby) / denom
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + abx * t), py - (ay + aby * t)), t
 
 
 def rotate(p: Point, angle: float) -> Point:

@@ -26,8 +26,13 @@ _GRIPPER_FLOAT_KEYS = {
 }
 _GRIPPER_INT_KEYS = {"trace_stride"}
 
-_OBJECT_KEYS = {"shape", "diameter", "width", "height", "thickness",
-                "x", "y", "rotation_deg", "surface_y"}
+# the [object] keys each shape uses (docs/scenario_format.md, "applies to")
+_SHAPE_KEYS = {
+    "circle": {"shape", "diameter", "x", "y"},
+    "rectangle": {"shape", "width", "height", "rotation_deg", "x", "y"},
+    "slab": {"shape", "thickness", "width", "surface_y", "x"},
+}
+_OBJECT_KEYS = set().union(*_SHAPE_KEYS.values())
 
 _VERBS = {v.value: v for v in Verb}
 
@@ -91,6 +96,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     objekt: dict = {}
     commands: list[tuple[str, int | str]] = []
     object_at: tuple[int, int] | None = None   # the first [object] header
+    object_keys_at: dict[str, tuple[int, int]] = {}   # each [object] key -> its line, column
+    header_line: dict[str, int] = {}              # section -> line of its first header
+    key_line: dict[tuple[str, str], int] = {}     # (section, key) -> line of its first use
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -106,7 +114,12 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if section not in ("gripper", "object", "commands"):
                 diagnostics.append((lineno, col, f"unknown section [{section}]"))
                 section = None
-            elif section == "object" and object_at is None:
+                continue
+            first = header_line.setdefault(section, lineno)
+            if first != lineno:
+                diagnostics.append((lineno, col,
+                                    f"repeated section [{section}], first at line {first}"))
+            elif section == "object":
                 object_at = (lineno, col)
             continue
         if "=" not in stripped:
@@ -119,15 +132,21 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         key = key.strip()
         value = value.strip()
         vcol = len(line) - len(line[line.index("=") + 1:].lstrip()) + 1
+        if section != "commands":   # a command verb may repeat: the script runs in order
+            first = key_line.setdefault((section, key), lineno)
+            if first != lineno:
+                diagnostics.append((lineno, col, f"repeated key `{key}`, first at line {first}"))
+                continue
         if section == "gripper":
             _parse_gripper_key(key, value, lineno, col, vcol, gripper, diagnostics)
         elif section == "object":
             _parse_object_key(key, value, lineno, col, vcol, objekt, diagnostics)
+            object_keys_at[key] = (lineno, col)
         else:
             _parse_command(key, value, lineno, col, vcol, commands, diagnostics)
 
     if not diagnostics and objekt:
-        _check_object(objekt, object_at, diagnostics)
+        _check_object(objekt, object_at, object_keys_at, diagnostics)
 
     if diagnostics:
         raise ScenarioError(diagnostics)
@@ -210,12 +229,17 @@ def _parse_command(key, value, lineno, col, vcol, out, diagnostics) -> None:
     out.append((key, steps))
 
 
-def _check_object(obj: dict, at: tuple[int, int], diagnostics: list) -> None:
-    """Report a missing ``shape`` or required key at the ``[object]`` header ``at``."""
+def _check_object(obj: dict, at: tuple[int, int], keys_at: dict[str, tuple[int, int]],
+                  diagnostics: list) -> None:
+    """Report a key the shape does not use at that key (``keys_at``), and a
+    missing ``shape`` or required key at the ``[object]`` header ``at``."""
     shape = obj.get("shape")
     if shape is None:
         diagnostics.append((*at, "[object] section needs a `shape` key"))
         return
+    for k in obj:
+        if k not in _SHAPE_KEYS[shape]:
+            diagnostics.append((*keys_at[k], f"{shape} object does not use `{k}`"))
     required = {"circle": ["diameter"], "rectangle": ["width", "height"],
                 "slab": ["width", "surface_y"]}[shape]
     for k in required:

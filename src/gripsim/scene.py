@@ -1,8 +1,11 @@
 """Rigid 2-D scene objects and their clearance geometry.
 
 One kernel, ``SceneObject._clearance``, measures a segment against an
-object.  The engine reads its clearance through ``clearance_to_segment``;
-contact markers read the point that attains it through ``clearance_witness``.
+object.  A segment is four floats ``ax, ay, bx, by`` and the outline is
+cached as float tuples, so a clearance evaluation builds no ``Point``.  The
+engine reads its clearance through ``clearance_to_segment``; contact markers
+read the point that attains it through ``clearance_witness``, the one
+``Point`` the kernels make.
 On an object that is its own mirror image about x = 0 (``mirror_symmetric``)
 the kernel is even in x bit for bit: a segment and its mirror image give the
 same clearance and the same witness parameter.
@@ -75,10 +78,6 @@ class SceneObject:
     # dataclasses.replace builds a new instance with an empty cache.  They
     # live in the instance __dict__, so equality and hashing ignore them.
     @cached_property
-    def center(self) -> Point:
-        return Point(self.x, self.y)
-
-    @cached_property
     def mirror_symmetric(self) -> bool:
         """Centred and unrotated, so the object is its own mirror image about x = 0."""
         return self.x == 0.0 and self.rotation == 0.0
@@ -93,28 +92,29 @@ class SceneObject:
 
     def corners(self) -> list[Point]:
         """Rectangle/slab corner points in the world (counter-clockwise)."""
-        return list(self._corners)
+        return [Point(x, y) for x, y in self._corners]
 
     @cached_property
-    def _corners(self) -> tuple[Point, ...]:
+    def _corners(self) -> tuple[tuple[float, float], ...]:
         if self.kind is ShapeKind.CIRCLE:
             raise ValueError("circles have no corners")
         w = self.width / 2.0
         h = (self.height if self.kind is ShapeKind.RECTANGLE else self.thickness) / 2.0
-        pts = [Point(-w, -h), Point(w, -h), Point(w, h), Point(-w, h)]
-        return tuple(self.center + rotate(p, self.rotation) for p in pts)
+        pts = [rotate(Point(x, y), self.rotation) for x, y in ((-w, -h), (w, -h), (w, h), (-w, h))]
+        return tuple((self.x + p.x, self.y + p.y) for p in pts)
 
     @cached_property
-    def _edges(self) -> tuple[tuple[Point, Point], ...]:
+    def _edges(self) -> tuple[tuple[float, float, float, float], ...]:
         corners = self._corners
-        return tuple(zip(corners, corners[1:] + corners[:1]))
+        return tuple((*a, *b) for a, b in zip(corners, corners[1:] + corners[:1]))
 
-    def clearance_to_segment(self, a: Point, b: Point) -> float:
-        """Distance from the object's boundary to a segment (negative inside)."""
-        return self._clearance(a, b)[0]
+    def clearance_to_segment(self, ax: float, ay: float, bx: float, by: float) -> float:
+        """Distance from the object's boundary to segment ab (negative inside)."""
+        return self._clearance(ax, ay, bx, by)[0]
 
-    def clearance_witness(self, a: Point, b: Point) -> tuple[float, Point]:
-        """``clearance_to_segment(a, b)``, bit for bit, and its witness point on ab.
+    def clearance_witness(self, ax: float, ay: float, bx: float,
+                          by: float) -> tuple[float, Point]:
+        """``clearance_to_segment(ax, ay, bx, by)``, bit for bit, and its witness point on ab.
 
         The witness is a point of ab that attains the clearance: for a circle
         the projection of the centre; for a rectangle or slab the point
@@ -123,39 +123,39 @@ class SceneObject:
         mirror of its mirror image's), which is the crossing point for a
         segment that crosses an edge.
         """
-        clear, t = self._clearance(a, b)
-        return clear, Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+        clear, t = self._clearance(ax, ay, bx, by)
+        return clear, Point(ax + (bx - ax) * t, ay + (by - ay) * t)
 
-    def _clearance(self, a: Point, b: Point) -> tuple[float, float]:
+    def _clearance(self, ax: float, ay: float, bx: float, by: float) -> tuple[float, float]:
         """The clearance of segment ab and the parameter t on ab of its witness."""
         if self.kind is ShapeKind.CIRCLE:
-            dist, t = point_segment_distance(self.center, a, b)
+            dist, t = point_segment_distance(self.x, self.y, ax, ay, bx, by)
             return dist - self.diameter / 2.0, t
         # a mirror-symmetric box measures a segment on the +x side as its mirror
         # image, so the two run one computation (docs/derivations.md)
-        if self.mirror_symmetric and (a.x + b.x > 0.0 or a.x + b.x == 0.0 and a.x > 0.0):
-            a, b = Point(-a.x, a.y), Point(-b.x, b.y)
+        if self.mirror_symmetric and (ax + bx > 0.0 or ax + bx == 0.0 and ax > 0.0):
+            ax, bx = -ax, -bx
         d, t = math.inf, 0.0
-        for e1, e2 in self._edges:
-            dist, at = segment_segment_distance(a, b, e1, e2)
+        for e1x, e1y, e2x, e2y in self._edges:
+            dist, at = segment_segment_distance(ax, ay, bx, by, e1x, e1y, e2x, e2y)
             if dist < d:
                 d, t = dist, at
         if d == 0.0:
             return 0.0, t
         # segment fully inside the polygon counts as penetration
         corners = self._corners
-        if _point_in_polygon(a, corners) and _point_in_polygon(b, corners):
+        if _point_in_polygon(ax, ay, corners) and _point_in_polygon(bx, by, corners):
             return -d, t
         return d, t
 
 
-def _point_in_polygon(p: Point, corners: tuple[Point, ...]) -> bool:
+def _point_in_polygon(px: float, py: float, corners: tuple[tuple[float, float], ...]) -> bool:
     inside = False
     n = len(corners)
     for i in range(n):
-        a, b = corners[i], corners[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xc = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < xc:
+        (ax, ay), (bx, by) = corners[i], corners[(i + 1) % n]
+        if (ay > py) != (by > py):
+            xc = ax + (py - ay) * (bx - ax) / (by - ay)
+            if px < xc:
                 inside = not inside
     return inside

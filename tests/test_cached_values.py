@@ -15,7 +15,6 @@ from gripsim import finger as fg
 from gripsim.assembly import Command, GripperAssembly, Verb, build_gripper, run_commands
 from gripsim.config import GripperConfig, build_config
 from gripsim.errors import ConfigError
-from gripsim.geometry import Point
 from gripsim.render import frame_svg
 from gripsim.scene import SceneObject
 
@@ -29,7 +28,7 @@ def test_replaced_rectangle_gets_fresh_corners():
     assert moved.corners() != before
     assert rect.corners() == before
     # the clearance follows the moved outline, not the cached one of the original
-    seg = (Point(25.0, -80.0), Point(25.0, -20.0))
+    seg = (25.0, -80.0, 25.0, -20.0)
     assert rect.clearance_to_segment(*seg) > 0.0
     assert moved.clearance_to_segment(*seg) == 0.0
 
@@ -94,7 +93,7 @@ def test_resolved_constants_keep_their_bits(cfg, k):
 def test_filled_caches_leave_equality_and_hash_alone():
     a = SceneObject.rectangle(30.0, 12.0, x=3.0, y=-40.0, rotation=0.4)
     b = SceneObject.rectangle(30.0, 12.0, x=3.0, y=-40.0, rotation=0.4)
-    a.clearance_to_segment(Point(0.0, 0.0), Point(1.0, 1.0))
+    a.clearance_to_segment(0.0, 0.0, 1.0, 1.0)
     assert a == b and hash(a) == hash(b)
     b.corners()
     assert a == b and hash(a) == hash(b)

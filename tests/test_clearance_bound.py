@@ -49,9 +49,9 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
     calls = [0]
     kernel = SceneObject.clearance_to_segment
 
-    def counted(self, a, b):
+    def counted(self, *segment):
         calls[0] += 1
-        return kernel(self, a, b)
+        return kernel(self, *segment)
     monkeypatch.setattr(SceneObject, "clearance_to_segment", counted)
     return calls
 
@@ -78,7 +78,8 @@ def test_a_released_phalanx_is_computed_afresh(cfg, monkeypatch):
     asm = build_gripper(cfg)
     free, h = asm.fingers[0], cfg.half_span(0.0)
     disc = SceneObject.circle(40.0, x=0.0, y=-100.0)
-    exact = tuple(disc.clearance_to_segment(a, b) for a, b in asm.world_segments(0))
+    exact = tuple(disc.clearance_to_segment(a.x, a.y, b.x, b.y)
+                  for a, b in asm.world_segments(0))
     assert min(exact) > 10.0
     held = replace(free, contact_fixed=frozenset({Phalanx.PROXIMAL}))
     last = _LastExact(1.0)
@@ -235,6 +236,23 @@ def test_a_thin_pick_poses_only_for_exact_evaluations(name, scenario_dir, monkey
     assert calls[0] <= 2 * report.steps + 1
     golden = (GOLDEN_DIR / f"{name}.report.json").read_bytes()
     assert render_report(scn, cfg, report).encode("utf-8") == golden
+
+
+def test_the_tip_gap_reads_the_pose_without_placing_a_side(cfg):
+    # both distal bars retracted, the right one 0.25 mm further: the gap is
+    # read from the finger-frame tip y, which is the world y bit for bit
+    params = cfg.finger_params()
+    rest = fg.rest_pose(params)
+    surface = fg.phalanx_poses(params, rest)[3] - params.geometry.L3_rest + 5.0
+    left = fg.distal_retract(params, rest, surface)
+    right = replace(left, L3=left.L3 - 0.25)
+    trans = build_gripper(cfg, 20.0).transmission
+    run = _Run(assembly=GripperAssembly(cfg, (left, right), trans), obj=None)
+    asm_mod._track_surface_gap(cfg, run, surface)
+    assert "side_segments" not in run.assembly.__dict__
+    world = max(abs(run.assembly.tip(i).y - surface) for i in (0, 1))
+    assert run.tip_surface_gap == world
+    assert 0.24 < world < 0.26
 
 
 def test_the_tip_budget_is_exact_under_a_pure_base_shift(cfg):

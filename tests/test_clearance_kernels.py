@@ -6,7 +6,8 @@ of ``point_segment_distance``, ``segment_segment_distance`` and
 ``Point.distance_to`` as ``_dot``, ``_cross`` and ``_distance``).  The
 rewrite keeps every arithmetic operation in the same order, so results must
 match bit for bit: floats are compared through ``float.hex``, which also
-tells -0.0 from 0.0.
+tells -0.0 from 0.0.  The kernels take each point as two floats; the tests
+draw ``Point``s and flatten them with ``_xy``.
 
 A centred, unrotated rectangle or slab measures a segment on the +x side as
 its mirror image (``SceneObject.mirror_symmetric``), so the reference folds
@@ -35,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gripsim.finger as fg
-from gripsim.assembly import _clearances, _LastExact
+from gripsim.assembly import _clearances, _LastExact, _place, build_gripper
 from gripsim.config import default_config
 from gripsim.finger import Behavior, FingerState, Phalanx
 from gripsim.geometry import Point, point_segment_distance, rotate, segment_segment_distance
@@ -99,6 +100,10 @@ def _ref_corners(obj):
     return [Point(obj.x, obj.y) + rotate(p, obj.rotation) for p in pts]
 
 
+def _ref_edges(corners):
+    return list(zip(corners, corners[1:] + corners[:1]))
+
+
 def _ref_point_in_polygon(p, corners):
     inside = False
     n = len(corners)
@@ -118,8 +123,7 @@ def ref_clearance_to_segment(obj, a, b):
     if obj.x == 0.0 and obj.rotation == 0.0 and (a.x + b.x > 0.0 or a.x + b.x == 0.0 and a.x > 0.0):
         a, b = Point(-a.x, a.y), Point(-b.x, b.y)
     corners = _ref_corners(obj)
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    d = min(ref_segment_segment_distance(a, b, e1, e2)[0] for e1, e2 in edges)
+    d = min(ref_segment_segment_distance(a, b, e1, e2)[0] for e1, e2 in _ref_edges(corners))
     if d == 0.0:
         return 0.0
     if _ref_point_in_polygon(a, corners) and _ref_point_in_polygon(b, corners):
@@ -129,6 +133,11 @@ def ref_clearance_to_segment(obj, a, b):
 
 def _bits(*values):
     return [v.hex() for v in values]
+
+
+def _xy(*points):
+    """The coordinates of ``points`` as the float kernels take them: x, y of each in turn."""
+    return [c for p in points for c in (p.x, p.y)]
 
 
 coords = st.floats(-250.0, 250.0)
@@ -187,7 +196,7 @@ def objects_with_segments(draw):
 @given(points, segments())
 def test_point_segment_distance_is_bit_identical(p, seg):
     a, b = seg
-    assert _bits(*point_segment_distance(p, a, b)) == \
+    assert _bits(*point_segment_distance(*_xy(p, a, b))) == \
         _bits(*ref_point_segment_distance(p, a, b))
 
 
@@ -238,7 +247,7 @@ def test_point_segment_distance_is_bit_identical(p, seg):
 # a NaN coordinate: no candidate is less than a NaN first one
 @example((Point(math.nan, 0.0), Point(1.0, 1.0)), (Point(0.0, 0.0), Point(2.0, 0.0)))
 def test_segment_segment_distance_is_bit_identical(s1, s2):
-    assert _bits(*segment_segment_distance(*s1, *s2)) == \
+    assert _bits(*segment_segment_distance(*_xy(*s1, *s2))) == \
         _bits(*ref_segment_segment_distance(*s1, *s2))
 
 
@@ -254,9 +263,10 @@ ON_THE_TOP_EDGE = (Point(32.71, -80.0), Point(22.0, -141.8))
 @example((BOX150, *(Point(-p.x, p.y) for p in ON_THE_TOP_EDGE)))
 def test_clearance_to_segment_is_bit_identical(case):
     obj, a, b = case
-    assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+    ref = _bits(ref_clearance_to_segment(obj, a, b))
+    assert _bits(obj.clearance_to_segment(*_xy(a, b))) == ref
     # a second call reads the cached outline and must agree with the first
-    assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+    assert _bits(obj.clearance_to_segment(*_xy(a, b))) == ref
 
 
 @st.composite
@@ -295,8 +305,8 @@ def centred_boxes_with_segments(draw):
 def test_a_centred_box_reads_a_segment_and_its_mirror_image_alike(case):
     obj, a, b = case
     assert obj.mirror_symmetric
-    clear, w = obj.clearance_witness(a, b)
-    mirror_clear, mirror_w = obj.clearance_witness(Point(-a.x, a.y), Point(-b.x, b.y))
+    clear, w = obj.clearance_witness(*_xy(a, b))
+    mirror_clear, mirror_w = obj.clearance_witness(*_xy(Point(-a.x, a.y), Point(-b.x, b.y)))
     assert _bits(mirror_clear, mirror_w.y) == _bits(clear, w.y)
     assert mirror_w.x == -w.x    # bit for bit, up to the sign of an exact zero
 
@@ -318,19 +328,20 @@ def test_hand_picked_contacts_are_bit_identical():
         (disc, Point(30.0, -70.0), Point(30.0, -10.0)),     # tangent
     ]
     for obj, a, b in cases:
-        assert _bits(obj.clearance_to_segment(a, b)) == _bits(ref_clearance_to_segment(obj, a, b))
+        assert _bits(obj.clearance_to_segment(*_xy(a, b))) == \
+            _bits(ref_clearance_to_segment(obj, a, b))
 
 
 @settings(max_examples=600, deadline=None)
 @given(objects_with_segments())
 def test_the_witness_attains_the_clearance_on_the_segment(case):
     obj, a, b = case
-    clear, w = obj.clearance_witness(a, b)
-    assert _bits(clear) == _bits(obj.clearance_to_segment(a, b))
+    clear, w = obj.clearance_witness(*_xy(a, b))
+    assert _bits(clear) == _bits(obj.clearance_to_segment(*_xy(a, b)))
     assert ref_point_segment_distance(w, a, b)[0] <= 1e-9
     crossing = obj.kind is not ShapeKind.CIRCLE and any(
-        _ref_segments_intersect(a, b, e1, e2) for e1, e2 in obj._edges)
-    assert abs(obj.clearance_to_segment(w, w) - (0.0 if crossing else clear)) <= 1e-9
+        _ref_segments_intersect(a, b, e1, e2) for e1, e2 in _ref_edges(_ref_corners(obj)))
+    assert abs(obj.clearance_to_segment(*_xy(w, w)) - (0.0 if crossing else clear)) <= 1e-9
 
 
 def test_hand_picked_witnesses():
@@ -356,7 +367,7 @@ def test_hand_picked_witnesses():
          Point(-0.5, 16.000000333)),
     ]
     for obj, a, b, clear, witness in cases:
-        assert obj.clearance_witness(a, b) == (clear, witness)
+        assert obj.clearance_witness(*_xy(a, b)) == (clear, witness)
 
 
 CFG = default_config()
@@ -386,11 +397,48 @@ def finger_states(draw):
     return FingerState(theta1, theta2, theta3, *lengths, behavior, fixed, anchor)
 
 
+def ref_phalanx_poses(params, state):
+    """The earlier Point-arithmetic pose: ``o1``, ``o2``, ``o3`` and the tip."""
+    psi = state.theta1 - params.theta1_down
+    o2 = Point(state.L1 * math.sin(psi), -state.L1 * math.cos(psi))
+    w2 = state.wrap()
+    o3 = o2 + Point(math.sin(w2), -math.cos(w2)).scaled(state.L2)
+    w3 = w2 + state.theta3
+    tip = o3 + Point(math.sin(w3), -math.cos(w3)).scaled(state.L3)
+    return Point(0.0, 0.0), o2, o3, tip
+
+
+def ref_place(params, state, h, x_dir):
+    """The earlier Point placement of the pose, its MCP pivot at ``-x_dir * h``."""
+    c = -x_dir * h
+    return [Point(c + x_dir * p.x, p.y) for p in ref_phalanx_poses(params, state)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(finger_states(), finger_states(), st.floats(0.0, CFG.base_shift_max),
+       st.sampled_from([1.0, -1.0]))
+def test_the_float_pose_and_placement_are_bit_identical(state, other, base, x_dir):
+    o1, o2, o3, tip = ref_phalanx_poses(PARAMS, state)
+    assert (o1.x, o1.y) == (0.0, 0.0)
+    assert _bits(*fg.phalanx_poses(PARAMS, state)) == _bits(*_xy(o2, o3, tip))
+    assert _bits(fg._middle_chain(PARAMS, state)[3]) == _bits(o3.y)
+    h = CFG.half_span(base)
+    placed = _place(PARAMS, state, h, x_dir)
+    assert _bits(*placed) == _bits(*_xy(*ref_place(PARAMS, state, h, x_dir)))
+    # the assembly's segments and aperture read the same placement, on both sides
+    asm = replace(build_gripper(CFG, base), fingers=(state, other))
+    left, right = ref_place(PARAMS, state, h, 1.0), ref_place(PARAMS, other, h, -1.0)
+    for i, joints in ((0, left), (1, right), (2, right)):
+        segments = asm.world_segments(i)
+        assert _bits(*_xy(*(a for a, _ in segments), segments[-1][1])) == _bits(*_xy(*joints))
+    assert _bits(asm.aperture()) == _bits(right[3].x - left[3].x)
+
+
 def _joints(state, h, x_dir):
     """The finger's joints in the world frame, its base at ``-x_dir * h``."""
-    pose = fg.phalanx_poses(PARAMS, state)
-    return [Point(-x_dir * h + x_dir * p.x, p.y)
-            for p in (pose.o1, pose.o2, pose.o3, pose.tip)]
+    o2x, o2y, o3x, o3y, tip_x, tip_y = fg.phalanx_poses(PARAMS, state)
+    return [Point(-x_dir * h + x_dir * x, y)
+            for x, y in ((0.0, 0.0), (o2x, o2y), (o3x, o3y), (tip_x, tip_y))]
 
 
 @st.composite
@@ -464,7 +512,7 @@ def moved_fingers(draw):
 
 def _exact(obj, state, h, x_dir):
     j = _joints(state, h, x_dir)
-    return [obj.clearance_to_segment(a, b) for a, b in zip(j, j[1:])]
+    return [obj.clearance_to_segment(*_xy(a, b)) for a, b in zip(j, j[1:])]
 
 
 @settings(max_examples=800, deadline=None)

@@ -135,8 +135,8 @@ def test_a_contact_changes_no_pose_numbers(params, rest, phalanx):
 
 
 def test_distal_retract_keeps_the_tip_on_the_surface(cfg, params, rest):
-    pose = fg.phalanx_poses(params, rest)
-    natural_tip = pose.o3.y - cfg.geometry.L3_rest
+    o3_y = fg.phalanx_poses(params, rest)[3]
+    natural_tip = o3_y - cfg.geometry.L3_rest
     # tip exactly at the surface: nothing to do
     same = fg.distal_retract(params, rest, natural_tip)
     assert same.L3 == cfg.geometry.L3_rest
@@ -144,21 +144,21 @@ def test_distal_retract_keeps_the_tip_on_the_surface(cfg, params, rest):
     pressed = fg.distal_retract(params, rest, natural_tip + 5.0)
     assert pressed.L3 == pytest.approx(cfg.geometry.L3_rest - 5.0)
     assert pressed.behavior is Behavior.THIN_OBJECT
-    tip_after = fg.phalanx_poses(params, pressed).tip.y
+    tip_after = fg.phalanx_poses(params, pressed)[5]
     assert tip_after == pytest.approx(natural_tip + 5.0, abs=1e-9)
 
 
 def test_distal_retract_full_travel_is_fifteen_mm(cfg, params, rest):
-    pose = fg.phalanx_poses(params, rest)
-    natural_tip = pose.o3.y - cfg.geometry.L3_rest
+    o3_y = fg.phalanx_poses(params, rest)[3]
+    natural_tip = o3_y - cfg.geometry.L3_rest
     pressed = fg.distal_retract(params, rest, natural_tip + 15.0)
     assert cfg.geometry.L3_rest - pressed.L3 == pytest.approx(15.0)
     assert pressed.L3 == pytest.approx(params.L3_min)
 
 
 def test_distal_retract_rejects_too_high_surfaces(cfg, params, rest):
-    pose = fg.phalanx_poses(params, rest)
-    natural_tip = pose.o3.y - cfg.geometry.L3_rest
+    o3_y = fg.phalanx_poses(params, rest)[3]
+    natural_tip = o3_y - cfg.geometry.L3_rest
     with pytest.raises(SurfaceTooHighError):
         fg.distal_retract(params, rest, natural_tip + 15.5)
 

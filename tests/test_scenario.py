@@ -5,7 +5,7 @@ import pytest
 from gripsim.assembly import build_gripper
 from gripsim.errors import ConfigError, ScenarioError
 from gripsim.scenario import Scenario, parse_scenario, serialize_scenario
-from gripsim.scene import ShapeKind
+from gripsim.scene import SceneObject, ShapeKind
 
 
 def test_minimal_file_with_object_only_uses_defaults():
@@ -155,6 +155,68 @@ def test_an_incomplete_object_is_reported_at_its_header(text, msg):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert err.value.diagnostics == [(3, 3, msg)]
+
+
+@pytest.mark.parametrize("text, diagnostics", [
+    # a repeated key is reported at the repeat, whatever its value
+    ("[object]\nshape = circle\ndiameter = 40\n  diameter = 60\n",
+     [(4, 3, "repeated key `diameter`, first at line 3")]),
+    ("[object]\nshape = circle\ndiameter = -1\ndiameter = 60\n",
+     [(3, 12, "diameter: must be positive"), (4, 1, "repeated key `diameter`, first at line 3")]),
+    ("[gripper]\nmotor_step_deg = 1\n\n[object]\nshape = circle\ndiameter = 40\n"
+     "\n[gripper]\nmotor_step_deg = 4\n",
+     [(8, 1, "repeated section [gripper], first at line 1"),
+      (9, 1, "repeated key `motor_step_deg`, first at line 2")]),
+    # a second [object] is not merged into the first
+    ("[object]\nshape = circle\ndiameter = 40\n\n [object]\nshape = rectangle\n"
+     "width = 30\nheight = 20\n",
+     [(5, 2, "repeated section [object], first at line 1"),
+      (6, 1, "repeated key `shape`, first at line 2")]),
+    ("[commands]\nclose = 10\n[commands]\nopen = 5\n",
+     [(3, 1, "repeated section [commands], first at line 1")]),
+])
+def test_a_repeated_key_or_section_is_reported_at_the_repeat(text, diagnostics):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == diagnostics
+
+
+def test_a_command_verb_may_repeat():
+    scn = parse_scenario("[commands]\nclose = 10\nopen = 5\nclose = auto\n")
+    assert scn.commands == (("close", 10), ("open", 5), ("close", "auto"))
+
+
+@pytest.mark.parametrize("text, diagnostics", [
+    ("[object]\nshape = slab\nthickness = 2\nwidth = 30\nsurface_y = -160\n"
+     "rotation_deg = 30\n  y = -150\n",
+     [(6, 1, "slab object does not use `rotation_deg`"),
+      (7, 3, "slab object does not use `y`")]),
+    # the shape may come after the key it rules out
+    ("[object]\nheight = 20\nshape = circle\ndiameter = 40\n",
+     [(2, 1, "circle object does not use `height`")]),
+    ("[object]\nshape = circle\ndiameter = 40\nrotation_deg = 10\nsurface_y = -100\n",
+     [(4, 1, "circle object does not use `rotation_deg`"),
+      (5, 1, "circle object does not use `surface_y`")]),
+    ("[object]\nshape = rectangle\nwidth = 30\nheight = 20\nthickness = 2\ndiameter = 9\n",
+     [(5, 1, "rectangle object does not use `thickness`"),
+      (6, 1, "rectangle object does not use `diameter`")]),
+])
+def test_a_key_the_shape_does_not_use_is_reported_at_the_key(text, diagnostics):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == diagnostics
+
+
+def test_every_key_a_shape_uses_is_kept():
+    circle = parse_scenario("[object]\nshape = circle\ndiameter = 40\nx = 5\ny = -60\n")
+    assert circle.build_object() == SceneObject.circle(40.0, x=5.0, y=-60.0)
+    rect = parse_scenario("[object]\nshape = rectangle\nwidth = 30\nheight = 20\nx = 5\n"
+                          "y = -60\nrotation_deg = 30\n")
+    assert rect.build_object() == SceneObject.rectangle(30.0, 20.0, x=5.0, y=-60.0,
+                                                        rotation=math.radians(30.0))
+    slab = parse_scenario("[object]\nshape = slab\nthickness = 2\nwidth = 30\n"
+                          "surface_y = -160\nx = 5\n")
+    assert slab.build_object() == SceneObject.slab(2.0, 30.0, surface_y=-160.0, x=5.0)
 
 
 def test_all_shipped_fixtures_parse(scenario_dir):
